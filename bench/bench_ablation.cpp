@@ -1,5 +1,5 @@
-/// Ablation bench for the paper's §4 future-work directions and the design
-/// choices DESIGN.md calls out:
+/// Ablation bench for the paper's §4 future-work directions and §2.3's
+/// normalization choice:
 ///   1. post-training int8 quantization of the encoder (accuracy cost,
 ///      throughput, 4x weight-size reduction),
 ///   2. magnitude pruning (sparse-CNN direction) — our fp32 GEMM skips zero

@@ -32,7 +32,6 @@
 #include "metrics/metrics.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
-#include "util/topology.hpp"
 
 namespace {
 
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
   if (n_workers == 0) {
     n_workers = std::min<std::size_t>(4, util::hardware_threads());
   }
-  // Worker-pool parallelism only — same pinning as bench_stream, so
+  // Worker-pool parallelism only — same OpenMP limit as bench_stream, so
   // wedges/s columns are comparable across benches.
   util::set_num_threads(1);
 

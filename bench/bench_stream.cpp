@@ -1,20 +1,13 @@
 /// \file bench_stream.cpp
-/// \brief Worker-count scaling sweep for both streaming directions and both
-///        intake layers.
+/// \brief Worker-count scaling sweep for both streaming directions.
 ///
 /// Measures wedges/s through StreamCompressor (encode) and
 /// StreamDecompressor (decode, the offline-analysis side) as n_workers grows
-/// from 1 to the hardware concurrency, once with the single shared
-/// BoundedQueue and once with the sharded work-stealing intake, with OpenMP
-/// pinned to one thread per worker so the only parallelism under test is the
-/// worker pool itself.  The comparison is what the sharded intake claims: at
-/// high worker counts the sharded rows should be no worse than the
-/// single-queue rows (the shared queue's mutex is the contention point the
-/// shards remove), and the `stolen` column shows the stealing actually
-/// firing.
+/// from 1 to the hardware concurrency, with OpenMP limited to one thread per
+/// worker so the only parallelism under test is the worker pool itself.
 ///
-/// A burst sweep follows: a 4x-capacity try_submit burst with the spill
-/// tier enabled, per intake mode — the lossless-backpressure claim
+/// A burst run follows: a 4x-capacity try_submit burst with the spill
+/// tier enabled — the lossless-backpressure claim
 /// (wedges_dropped == 0, every spilled wedge replayed) measured rather than
 /// assumed, with the spilled/replayed counts in the JSON trailer.
 ///
@@ -26,8 +19,8 @@
 /// fewer live workers when the detector is quiet.
 ///
 /// The final stdout line is a single machine-readable JSON document
-/// (wedges/s per worker count, both directions, both intakes, plus the
-/// burst rows) so perf trajectories can be tracked across commits by
+/// (wedges/s per worker count, both directions, plus the burst and elastic
+/// rows) so perf trajectories can be tracked across commits by
 /// scraping `grep '^{'` from the output — CI uploads it as the
 /// BENCH_stream.json artifact.
 ///
@@ -47,7 +40,6 @@
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
-#include "util/topology.hpp"
 
 namespace {
 
@@ -57,12 +49,11 @@ struct SweepPoint {
   double wps = 0.0;
   double speedup = 0.0;
   double cpu_per_wall = 0.0;
-  long long stolen = 0;
 };
 
 void print_point(const SweepPoint& p) {
-  std::printf("  %-8zu %12.3f %12.1f %9.2fx %10.2f %8lld\n", p.workers,
-              p.wall_s, p.wps, p.speedup, p.cpu_per_wall, p.stolen);
+  std::printf("  %-8zu %12.3f %12.1f %9.2fx %10.2f\n", p.workers, p.wall_s,
+              p.wps, p.speedup, p.cpu_per_wall);
 }
 
 struct ElasticPoint {
@@ -114,10 +105,9 @@ std::string json_points(const std::vector<SweepPoint>& points) {
     char buf[192];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"workers\":%zu,\"wall_s\":%.4f,\"wps\":%.2f,"
-                  "\"speedup\":%.3f,\"cpu_per_wall\":%.3f,\"stolen\":%lld}",
+                  "\"speedup\":%.3f,\"cpu_per_wall\":%.3f}",
                   i ? "," : "", points[i].workers, points[i].wall_s,
-                  points[i].wps, points[i].speedup, points[i].cpu_per_wall,
-                  points[i].stolen);
+                  points[i].wps, points[i].speedup, points[i].cpu_per_wall);
     out += buf;
   }
   return out + "]";
@@ -176,57 +166,45 @@ int main(int argc, char** argv) {
   for (std::size_t w = 1; w <= max_workers; w *= 2) sweep.push_back(w);
   if (sweep.back() != max_workers) sweep.push_back(max_workers);
 
-  const codec::IntakeMode intakes[] = {codec::IntakeMode::kSingleQueue,
-                                       codec::IntakeMode::kSharded};
-
-  // One run of either direction at a given worker count and intake mode;
-  // returns the pipeline stats for the derived columns.  The speedup column
-  // is relative to the single-queue 1-worker baseline of the direction, so
-  // the two intake blocks are directly comparable.
+  // One run of either direction at a given worker count; returns the
+  // pipeline stats for the derived columns.  The speedup column is relative
+  // to the direction's 1-worker run.
   const auto run_sweep = [&](const char* label, auto&& run_one) {
-    std::vector<std::vector<SweepPoint>> blocks;
     double base_wps = 0.0;
-    for (const auto intake : intakes) {
-      std::printf("\n%s direction, %s intake:\n", label,
-                  codec::to_string(intake));
-      std::printf("  %-8s %12s %12s %10s %10s %8s\n", "workers", "wall [s]",
-                  "wps", "speedup", "cpu/wall", "stolen");
-      std::vector<SweepPoint> points;
-      for (const std::size_t n_workers : sweep) {
-        codec::StreamOptions opt;
-        opt.queue_capacity = std::max<std::size_t>(64, 4 * n_workers);
-        opt.batch_size = batch;
-        opt.n_workers = n_workers;
-        opt.intake = intake;
-        util::Timer wall;
-        const codec::StreamStats stats = run_one(opt);
-        const double wall_s = wall.elapsed_s();
-        SweepPoint p;
-        p.workers = n_workers;
-        p.wall_s = wall_s;
-        p.wps = wall_s > 0
-                    ? static_cast<double>(stats.wedges_compressed) / wall_s
-                    : 0.0;
-        if (base_wps == 0.0) base_wps = p.wps;  // single-queue, 1 worker
-        p.speedup = base_wps > 0 ? p.wps / base_wps : 0.0;
-        p.cpu_per_wall =
-            stats.elapsed_s > 0 ? stats.cpu_s / stats.elapsed_s : 0.0;
-        p.stolen = static_cast<long long>(stats.batches_stolen);
-        print_point(p);
-        points.push_back(p);
-        if (stats.wedges_compressed != n_wedges) {
-          std::fprintf(stderr, "ERROR: %s processed %lld of %lld wedges\n",
-                       label, static_cast<long long>(stats.wedges_compressed),
-                       static_cast<long long>(n_wedges));
-          std::exit(1);
-        }
+    std::printf("\n%s direction:\n", label);
+    std::printf("  %-8s %12s %12s %10s %10s\n", "workers", "wall [s]", "wps",
+                "speedup", "cpu/wall");
+    std::vector<SweepPoint> points;
+    for (const std::size_t n_workers : sweep) {
+      codec::StreamOptions opt;
+      opt.queue_capacity = std::max<std::size_t>(64, 4 * n_workers);
+      opt.batch_size = batch;
+      opt.n_workers = n_workers;
+      util::Timer wall;
+      const codec::StreamStats stats = run_one(opt);
+      const double wall_s = wall.elapsed_s();
+      SweepPoint p;
+      p.workers = n_workers;
+      p.wall_s = wall_s;
+      p.wps = wall_s > 0 ? static_cast<double>(stats.wedges_compressed) / wall_s
+                         : 0.0;
+      if (base_wps == 0.0) base_wps = p.wps;  // 1 worker
+      p.speedup = base_wps > 0 ? p.wps / base_wps : 0.0;
+      p.cpu_per_wall =
+          stats.elapsed_s > 0 ? stats.cpu_s / stats.elapsed_s : 0.0;
+      print_point(p);
+      points.push_back(p);
+      if (stats.wedges_compressed != n_wedges) {
+        std::fprintf(stderr, "ERROR: %s processed %lld of %lld wedges\n",
+                     label, static_cast<long long>(stats.wedges_compressed),
+                     static_cast<long long>(n_wedges));
+        std::exit(1);
       }
-      blocks.push_back(std::move(points));
     }
-    return blocks;  // [0] = single queue, [1] = sharded
+    return points;
   };
 
-  const auto compress_blocks =
+  const auto compress_points =
       run_sweep("compress", [&](const codec::StreamOptions& opt) {
         // The unordered sink runs concurrently across workers: tally atomically.
         std::atomic<std::int64_t> bytes{0};
@@ -240,7 +218,7 @@ int main(int argc, char** argv) {
         return stream.finish();
       });
 
-  const auto decompress_blocks =
+  const auto decompress_points =
       run_sweep("decompress", [&](const codec::StreamOptions& opt) {
         std::atomic<std::int64_t> voxels{0};
         codec::StreamDecompressor stream(
@@ -261,13 +239,12 @@ int main(int argc, char** argv) {
       ("bench_stream_spill_" +
        std::to_string(std::chrono::steady_clock::now().time_since_epoch().count()));
   const std::size_t burst_workers = std::min<std::size_t>(4, max_workers);
-  const auto run_burst = [&](codec::IntakeMode intake) {
+  const auto run_burst = [&] {
     codec::StreamOptions opt;
     opt.queue_capacity = 16;
     opt.batch_size = batch;
     opt.n_workers = burst_workers;
-    opt.intake = intake;
-    opt.spill_dir = (spill_root / codec::to_string(intake)).string();
+    opt.spill_dir = spill_root.string();
     const long long n_burst = 4 * static_cast<long long>(opt.queue_capacity);
     std::atomic<std::int64_t> bytes{0};
     util::Timer wall;
@@ -290,9 +267,8 @@ int main(int argc, char** argv) {
     p.spilled = static_cast<long long>(stats.wedges_spilled);
     p.replayed = static_cast<long long>(stats.wedges_replayed);
     p.dropped = static_cast<long long>(stats.wedges_dropped);
-    std::printf("  %-8s %12.3f %12.1f %9lld %9lld %8lld\n",
-                codec::to_string(intake), p.wall_s, p.wps, p.spilled,
-                p.replayed, p.dropped);
+    std::printf("  %12.3f %12.1f %9lld %9lld %8lld\n", p.wall_s, p.wps,
+                p.spilled, p.replayed, p.dropped);
     if (stats.wedges_compressed != n_burst || p.dropped != 0 ||
         p.replayed != p.spilled) {
       std::fprintf(stderr,
@@ -308,10 +284,9 @@ int main(int argc, char** argv) {
   };
   std::printf("\nburst (4x capacity, spill tier on, %zu workers):\n",
               burst_workers);
-  std::printf("  %-8s %12s %12s %9s %9s %8s\n", "intake", "wall [s]", "wps",
-              "spilled", "replayed", "dropped");
-  const BurstPoint burst_single = run_burst(codec::IntakeMode::kSingleQueue);
-  const BurstPoint burst_sharded = run_burst(codec::IntakeMode::kSharded);
+  std::printf("  %12s %12s %9s %9s %8s\n", "wall [s]", "wps", "spilled",
+              "replayed", "dropped");
+  const BurstPoint burst = run_burst();
   std::error_code cleanup_ec;
   std::filesystem::remove_all(spill_root, cleanup_ec);
 
@@ -326,7 +301,6 @@ int main(int argc, char** argv) {
     codec::StreamOptions opt;
     opt.queue_capacity = 16;
     opt.batch_size = batch;
-    opt.intake = codec::IntakeMode::kSharded;
     if (elastic) {
       opt.elastic = true;
       opt.min_workers = 1;
@@ -393,8 +367,7 @@ int main(int argc, char** argv) {
     }
     return p;
   };
-  std::printf("\nelastic vs static (quiet/burst/quiet, pool %zu, sharded "
-              "intake):\n",
+  std::printf("\nelastic vs static (quiet/burst/quiet, pool %zu):\n",
               elastic_pool);
   std::printf("  %-8s %12s %12s %9s %9s %9s %11s\n", "mode", "burst [s]",
               "burst wps", "scale-up", "scale-dn", "avg live", "quiet live");
@@ -409,25 +382,19 @@ int main(int argc, char** argv) {
 
   if (hw < 4) {
     std::printf("\nnote: only %u hardware thread(s) visible — worker scaling "
-                "needs >= 4 cores to show the expected >1.5x at 4 workers "
-                "(and single-vs-sharded contention differences).\n",
+                "needs >= 4 cores to show the expected >1.5x at 4 workers.\n",
                 hw);
   }
 
   // Machine-readable trailer (single line, greppable with '^{').
   std::printf("\n{\"bench\":\"stream\",\"wedges\":%lld,\"batch\":%lld,"
               "\"hardware_threads\":%u,"
-              "\"compress\":{\"single\":%s,\"sharded\":%s},"
-              "\"decompress\":{\"single\":%s,\"sharded\":%s},"
-              "\"burst\":{\"single\":%s,\"sharded\":%s},"
+              "\"compress\":%s,\"decompress\":%s,\"burst\":%s,"
               "\"elastic\":{\"static\":%s,\"elastic\":%s}}\n",
               static_cast<long long>(n_wedges), static_cast<long long>(batch),
-              hw, json_points(compress_blocks[0]).c_str(),
-              json_points(compress_blocks[1]).c_str(),
-              json_points(decompress_blocks[0]).c_str(),
-              json_points(decompress_blocks[1]).c_str(),
-              json_burst(burst_single).c_str(),
-              json_burst(burst_sharded).c_str(),
+              hw, json_points(compress_points).c_str(),
+              json_points(decompress_points).c_str(),
+              json_burst(burst).c_str(),
               json_elastic(el_static).c_str(),
               json_elastic(el_elastic).c_str());
   return 0;

@@ -3,7 +3,7 @@
 /// BCAE-HT and the original BCAE — all evaluated in half precision, as the
 /// paper reports.  Also prints §3.1's compression-ratio arithmetic.
 ///
-/// Expected shape vs the paper (see EXPERIMENTS.md):
+/// Expected shape vs the paper:
 ///   * BCAE++ best MAE/PSNR/precision/recall,
 ///   * BCAE-2D highest throughput, BCAE-HT in between,
 ///   * BCAE-HT's encoder ~5% the size of BCAE++'s,
@@ -104,7 +104,7 @@ int main() {
   std::printf("  original BCAE (code 28 288 elems): %.3f  [paper: 27.041]\n",
               nc::tpc::compression_ratio(paper_wedge, 8 * 17 * 13 * 16));
 
-  // Shape checks the reader should verify (also recorded in EXPERIMENTS.md):
+  // Shape checks the reader should verify:
   std::printf("\nshape checks: BCAE++ best MAE: %s | BCAE-2D fastest: %s | "
               "HT/++ size ratio: %.3f (paper 0.043)\n",
               (rows[1].m.mae <= rows[0].m.mae && rows[1].m.mae <= rows[2].m.mae &&

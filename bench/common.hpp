@@ -1,12 +1,12 @@
 /// \file common.hpp
 /// \brief Shared harness for the table/figure regeneration benches.
 ///
-/// Every bench uses the same scaled experiment setup (see DESIGN.md §1):
+/// Every bench uses the same scaled experiment setup:
 /// wedges of (16, 48, 62)->64 instead of the paper's (16, 192, 249)->256,
 /// short trainings instead of 500-1000 epochs.  Paper reference values are
 /// printed next to measured ones so the *shape* comparison (who wins, by
 /// roughly what factor) is direct; absolute values are not expected to
-/// match (CPU substrate, reduced scale — EXPERIMENTS.md discusses this).
+/// match (CPU substrate, reduced scale).
 ///
 /// Environment knobs:
 ///   NC_BENCH_EVENTS  — simulated events for the dataset (default 6)

@@ -30,17 +30,13 @@
 ///
 /// Elastic pool: `--workers 0` autoscales the live worker count between
 /// `--min-workers` and `--max-workers` (default: every hardware thread) from
-/// observed load; `--pin` / `--no-pin` control core pinning + NUMA shard
-/// homing.  The resolved topology (cores, NUMA nodes, pinning map) prints at
-/// startup and the scaling history (events, hwm/lwm, time-weighted average
-/// live workers) joins the exit summary.
+/// observed load.  The scaling history (events, hwm/lwm, time-weighted
+/// average live workers) joins the exit summary.
 ///
 /// Run:  ./streaming_daq [--rate 200] [--seconds 5] [--batch 16]
 ///                       [--workers 1] [--producers 1] [--ordered]
-///                       [--codec bcae-fp16] [--intake auto|single|sharded]
-///                       [--spill-dir DIR]
-///                       [--workers 0 [--min-workers N] [--max-workers N]
-///                        [--pin | --no-pin]]
+///                       [--codec bcae-fp16] [--spill-dir DIR]
+///                       [--workers 0 [--min-workers N] [--max-workers N]]
 ///       ./streaming_daq --roundtrip [--wedges 16] [--batch 4] [--workers 2]
 #include <algorithm>
 #include <atomic>
@@ -60,54 +56,30 @@
 #include "metrics/metrics.hpp"
 #include "tpc/dataset.hpp"
 #include "util/cli.hpp"
-#include "util/topology.hpp"
+#include "util/parallel.hpp"
 
 namespace {
-
-/// Resolved topology + pinning decision, printed before the pool starts.
-void print_topology(const nc::codec::StreamOptions& options) {
-  const auto& topo = nc::util::system_topology();
-  std::printf("topology: %zu allowed cpu(s), %d numa node(s)%s; pinning %s\n",
-              topo.cpus.size(), topo.n_nodes,
-              topo.numa_from_sysfs ? "" : " (no sysfs numa map)",
-              !options.pin_workers        ? "off"
-              : topo.affinity_supported   ? "on"
-                                          : "unsupported (no-op)");
-}
-
-/// Worker-slot -> core pin map as the pipeline resolved it (empty when
-/// pinning is off or unsupported).
-void print_pin_map(const std::vector<nc::util::CpuInfo>& placement) {
-  if (placement.empty()) return;
-  std::printf("pin map:");
-  for (std::size_t w = 0; w < placement.size(); ++w) {
-    std::printf(" w%zu->cpu%d/n%d", w, placement[w].cpu, placement[w].node);
-  }
-  std::printf("\n");
-}
 
 /// Elastic scaling history (skipped for static pools: nothing moved).
 void print_scaling(const char* label, const nc::codec::StreamStats& stats,
                    const nc::codec::StreamOptions& options) {
   if (!options.elastic) return;
   std::printf("  %s: %lld up / %lld down scale events, live workers "
-              "%lld..%lld (avg %.2f), %lld pinned\n",
+              "%lld..%lld (avg %.2f)\n",
               label, static_cast<long long>(stats.scale_up_events),
               static_cast<long long>(stats.scale_down_events),
               static_cast<long long>(stats.workers_lwm),
               static_cast<long long>(stats.workers_hwm),
-              stats.avg_live_workers,
-              static_cast<long long>(stats.workers_pinned));
+              stats.avg_live_workers);
 }
 
 void print_stream_stats(const char* label, const nc::codec::StreamStats& stats) {
   std::printf("  %s: %lld wedges at %.1f wedges/s (%.2f busy-cores avg, "
-              "%lld failed, %lld batches stolen, depth hwm %lld)\n",
+              "%lld failed, depth hwm %lld)\n",
               label, static_cast<long long>(stats.wedges_compressed),
               stats.throughput_wps(),
               stats.elapsed_s > 0 ? stats.cpu_s / stats.elapsed_s : 0.0,
               static_cast<long long>(stats.wedges_failed),
-              static_cast<long long>(stats.batches_stolen),
               static_cast<long long>(stats.queue_depth_hwm));
   if (stats.wedges_spilled > 0) {
     std::printf("    spill: %lld spilled, %lld replayed, hwm %lld bytes\n",
@@ -135,7 +107,6 @@ int run_roundtrip(const nc::codec::WedgeCodec& wedge_codec,
         std::lock_guard<std::mutex> lock(store_mutex);
         storage.emplace(seq, os.str());
       });
-  print_pin_map(compressor.placement());
   for (std::int64_t i = 0; i < n; ++i) {
     // Blocking submit: the offline path trades latency for zero drops, so
     // seq i maps back to wedges[i % wedges.size()].
@@ -181,10 +152,9 @@ int run_roundtrip(const nc::codec::WedgeCodec& wedge_codec,
           ? static_cast<double>(m.actual_positive) / acc.total_voxels()
           : 0.0;
   std::printf("\nroundtrip summary (%lld wedges, codec %s, %zu worker(s), "
-              "batch %zu, %s intake%s):\n",
+              "batch %zu%s):\n",
               static_cast<long long>(n), wedge_codec.name().c_str(),
               options.n_workers, options.batch_size,
-              nc::codec::to_string(compressor.options().intake),
               options.ordered ? ", ordered" : "");
   print_stream_stats("compress  ", cstats);
   print_scaling("scale(enc) ", cstats, options);
@@ -228,18 +198,11 @@ int main(int argc, char** argv) {
   args.add_option("max-workers", "0",
                   "elastic mode: live worker ceiling (0 = all hardware "
                   "threads)");
-  args.add_flag("pin",
-                "pin workers to cores, home intake shards on NUMA nodes "
-                "(default in elastic mode)");
-  args.add_flag("no-pin", "disable pinning (overrides --pin / elastic default)");
   args.add_option("producers", "1", "front-end producer threads");
   args.add_option("wedges", "16", "roundtrip mode: wedges through the chain");
   args.add_option("codec", "bcae-fp16",
                   "wedge codec backing the pipeline: bcae-fp32 | bcae-fp16 | "
                   "bcae-int8 | zfp | sz | mgard");
-  args.add_option("intake", "auto",
-                  "intake layer: auto | single | sharded (auto = sharded "
-                  "when --workers > 1)");
   args.add_option("spill-dir", "",
                   "spill tier directory (lossless backpressure: overflow "
                   "goes to disk instead of wedges_dropped; empty = off)");
@@ -355,24 +318,8 @@ int main(int argc, char** argv) {
   } else {
     options.n_workers = static_cast<std::size_t>(workers_flag);
   }
-  // Pinning defaults on in elastic mode (the topology-aware deployment the
-  // mode exists for); --pin forces it for static pools, --no-pin wins.
-  options.pin_workers =
-      !args.get_bool("no-pin") && (args.get_bool("pin") || options.elastic);
   options.ordered = args.get_bool("ordered");
   options.spill_dir = args.get("spill-dir");
-  const std::string intake = args.get("intake");
-  if (intake == "single") {
-    options.intake = codec::IntakeMode::kSingleQueue;
-  } else if (intake == "sharded") {
-    options.intake = codec::IntakeMode::kSharded;
-  } else if (intake != "auto") {
-    std::fprintf(stderr, "unknown --intake '%s' (auto | single | sharded)\n",
-                 intake.c_str());
-    return 1;
-  }
-
-  print_topology(options);
 
   if (roundtrip) {
     const std::int64_t n = std::max<std::int64_t>(1, args.get_int("wedges"));
@@ -385,7 +332,6 @@ int main(int argc, char** argv) {
       *wedge_codec, options, [&](codec::WedgeEnvelope&& env) {
         stored_bytes.fetch_add(env.payload_bytes(), std::memory_order_relaxed);
       });
-  print_pin_map(stream.placement());
 
   // Producers: fixed aggregate rate split across the front-end threads.
   const double rate = args.get_double("rate");
@@ -419,11 +365,9 @@ int main(int argc, char** argv) {
                 std::to_string(options.max_workers) + " worker(s)"
           : std::to_string(options.n_workers) + " worker(s)";
   std::printf("\nstream summary (%.1f s at %.0f wedges/s offered, codec %s, "
-              "%d producer(s), %s, %s intake%s):\n",
+              "%d producer(s), %s%s):\n",
               duration, rate, wedge_codec->name().c_str(), n_producers,
-              workers_desc.c_str(),
-              codec::to_string(stream.options().intake),
-              options.ordered ? ", ordered sink" : "");
+              workers_desc.c_str(), options.ordered ? ", ordered sink" : "");
   std::printf("  offered:     %lld wedges\n",
               static_cast<long long>(offered.load()));
   std::printf("  accepted:    %lld\n", static_cast<long long>(stats.wedges_in));
@@ -451,21 +395,15 @@ int main(int argc, char** argv) {
   std::printf("  parallelism: %.2f busy-cores avg (cpu %.2fs / active %.2fs)\n",
               stats.elapsed_s > 0 ? stats.cpu_s / stats.elapsed_s : 0.0,
               stats.cpu_s, stats.elapsed_s);
-  // Effective capacity from the stats, not the requested knob: the sharded
-  // intake rounds the bound up to a shard multiple.
-  std::printf("  intake:      depth high-water %lld of %lld, %lld batches "
-              "stolen across shards\n",
+  std::printf("  intake:      depth high-water %lld of %lld\n",
               static_cast<long long>(stats.queue_depth_hwm),
-              static_cast<long long>(stats.queue_capacity),
-              static_cast<long long>(stats.batches_stolen));
+              static_cast<long long>(stats.queue_capacity));
   print_scaling("scaling    ", stats, options);
   for (std::size_t w = 0; w < stats.per_worker.size(); ++w) {
     const auto& ws = stats.per_worker[w];
-    std::printf("  worker %zu:    %lld wedges in %lld batches (%lld stolen), "
-                "%.2fs active\n",
+    std::printf("  worker %zu:    %lld wedges in %lld batches, %.2fs active\n",
                 w, static_cast<long long>(ws.wedges_compressed),
-                static_cast<long long>(ws.batches),
-                static_cast<long long>(ws.batches_stolen), ws.active_s);
+                static_cast<long long>(ws.batches), ws.active_s);
   }
   return 0;
 }

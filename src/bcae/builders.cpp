@@ -4,8 +4,7 @@
 /// 2-D builders follow Algorithm 1 (encoder) and Algorithm 2 (decoders)
 /// verbatim, except that the encoder's output convolution emits
 /// `code_channels` = 32 features: Algorithm 1 prints o=16, but §3.1's code
-/// shape (32, 24, 32) and the 31.125 compression ratio require 32 (see
-/// DESIGN.md "Paper inconsistencies").
+/// shape (32, 24, 32) and the 31.125 compression ratio require 32.
 ///
 /// 3-D builders implement the §2.3 description: four stages, each a strided
 /// downsampling convolution (kernel 4, stride 2, pad 1 on the azimuthal and

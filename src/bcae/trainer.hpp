@@ -9,7 +9,7 @@
 ///
 /// Epoch counts are configurable; the paper trains 1000 epochs (3-D) / 500
 /// epochs (2-D) on 25 152 wedges — the bench harness uses proportionally
-/// shorter runs on the scaled geometry (see DESIGN.md).
+/// shorter runs on the scaled geometry (see bench/common.hpp).
 #pragma once
 
 #include <functional>

@@ -1,27 +1,20 @@
 /// \file intake.hpp
-/// \brief Pluggable intake layer for StreamPipeline: the bounded FIFO that
-///        producers submit into and workers drain from.
+/// \brief StreamPipeline's intake: the bounded FIFO that producers submit
+///        into and workers drain from.
 ///
-/// PR 2/3 hard-wired every worker to one `BoundedQueue` behind one mutex —
-/// fine up to a few workers, a contention point beyond that.  This header
-/// extracts the intake contract the pipeline actually relies on so the queue
-/// becomes swappable (`StreamOptions::intake`):
+/// One `BoundedQueue` behind one mutex.  Every pipeline push already runs
+/// under StreamPipeline's submit mutex and a wedge costs milliseconds of
+/// transform time, so the queue lock is not a contention point at the worker
+/// counts this library runs.  The contract the pipeline relies on:
 ///
 ///  * `try_push` — non-blocking enqueue; false means backpressure (or closed).
-///  * `wait_for_space` — park until space might exist or the intake closes;
+///  * `wait_for_space` — park until space might exist or the queue closes;
 ///    space is not reserved, so callers retry try_push in a loop.
 ///  * `pop_batch` — blocking batch dequeue with the terminal contract every
-///    worker loop depends on: it returns 0 *only* when the intake is closed
-///    AND fully drained, never as a spurious wakeup.  When pushes are
-///    serialized (StreamPipeline submits under one mutex), items handed to
-///    one caller come out in FIFO order relative to each other (per pop
-///    source), so their sequence numbers are ascending within a batch —
-///    sharded implementations only guarantee this under that serialization.
+///    worker loop depends on: it returns 0 *only* when the queue is closed
+///    AND fully drained, never as a spurious wakeup.  Items come out in
+///    push order.
 ///  * `close` — idempotent; unblocks every parked producer and worker.
-///
-/// Implementations: `SingleQueueIntake` (this file) wraps the original
-/// `BoundedQueue`; `ShardedQueue` (sharded_queue.hpp) splits the intake into
-/// per-worker shards with batch work-stealing.
 #pragma once
 
 #include <algorithm>
@@ -29,21 +22,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <vector>
 
 namespace nc::codec {
 
-/// Intake selector (StreamOptions::intake).
-enum class IntakeMode {
-  kAuto,         ///< sharded when n_workers > 1, single queue otherwise
-  kSingleQueue,  ///< one BoundedQueue shared by all workers
-  kSharded,      ///< per-worker shards with batch work-stealing
-};
-
-/// Outcome of a timed space wait (`Intake::wait_for_space_for`) — the
+/// Outcome of a timed space wait (`BoundedQueue::wait_for_space_for`) — the
 /// spill-deadline path needs to distinguish "space may exist, retry" from
 /// "closed, give up" from "deadline hit, divert to the spill tier".
 enum class SpaceWait {
@@ -52,20 +37,10 @@ enum class SpaceWait {
   kTimeout,  ///< still full when the timeout expired
 };
 
-inline const char* to_string(IntakeMode mode) {
-  switch (mode) {
-    case IntakeMode::kAuto: return "auto";
-    case IntakeMode::kSingleQueue: return "single";
-    case IntakeMode::kSharded: return "sharded";
-  }
-  return "?";
-}
-
 namespace detail {
-/// Depth-adaptive drain sizing shared by every intake: a fair share of the
-/// observed backlog per worker, clamped to [1, max_items].  share == 0
-/// disables adaptivity (always max_items).  One definition so single-queue
-/// and sharded pipelines can never drift apart on batch-size behavior.
+/// Depth-adaptive drain sizing: a fair share of the observed backlog per
+/// worker, clamped to [1, max_items].  share == 0 disables adaptivity
+/// (always max_items).
 inline std::size_t adaptive_drain_cap(std::size_t depth, std::size_t share,
                                       std::size_t max_items) {
   if (share == 0) return max_items;
@@ -74,8 +49,8 @@ inline std::size_t adaptive_drain_cap(std::size_t depth, std::size_t share,
 }
 }  // namespace detail
 
-/// Thread-safe bounded FIFO (the original single-mutex intake; also used
-/// directly by tests as a plain concurrent queue).
+/// Thread-safe bounded FIFO (StreamPipeline's intake; also used directly by
+/// tests as a plain concurrent queue).
 template <typename T>
 class BoundedQueue {
  public:
@@ -201,81 +176,6 @@ class BoundedQueue {
   std::atomic<std::size_t> depth_{0};  ///< mirrors queue_.size() (lock-free reads)
   std::size_t high_water_ = 0;
   bool closed_ = false;
-};
-
-/// Intake contract consumed by StreamPipeline (see file comment).  Workers
-/// identify themselves by index so sharded implementations can give each its
-/// own shard; `stolen` (may be null) reports whether a pop crossed shards.
-template <typename T>
-class Intake {
- public:
-  virtual ~Intake() = default;
-
-  /// Non-blocking enqueue; false means backpressure (or closed).  Moves
-  /// from `item` only on success — a failed push leaves it intact so the
-  /// caller (e.g. the spill tier) can reuse it without a deep copy.
-  virtual bool try_push(T&& item) = 0;
-  /// Copying convenience for producers that keep their item.
-  bool try_push(const T& item) {
-    T copy = item;
-    return try_push(std::move(copy));
-  }
-  virtual bool wait_for_space() = 0;
-  /// Timed wait_for_space; kReady does not reserve space (retry try_push).
-  virtual SpaceWait wait_for_space_for(std::chrono::nanoseconds timeout) = 0;
-  /// `adaptive_share` > 0 scales the drain toward max_items when the intake
-  /// is backed up and toward 1 when lightly loaded, evaluated on the depth
-  /// observed at pop time (after any blocking wait); 0 always drains up to
-  /// max_items.
-  virtual std::size_t pop_batch(std::size_t worker_index, std::vector<T>& out,
-                                std::size_t max_items,
-                                std::size_t adaptive_share, bool* stolen) = 0;
-  /// Elastic-pool hint: workers [0, n_live) are the ones currently popping.
-  /// Sharded intakes re-home fresh pushes onto live workers' shards so a
-  /// scaled-down worker's shard drains and stays empty instead of parking
-  /// items behind a sleeping owner; a single queue has nothing to re-home.
-  /// Safe to call concurrently with pushes/pops; purely a routing hint —
-  /// capacity, backpressure and delivery guarantees are unaffected.
-  virtual void set_active_workers(std::size_t /*n_live*/) {}
-  virtual void close() = 0;
-  /// Approximate items currently queued.
-  virtual std::size_t size() const = 0;
-  /// Effective aggregate capacity (sharded intakes round the requested
-  /// capacity up to a shard multiple).
-  virtual std::size_t capacity() const = 0;
-  /// Deepest the intake has ever been across all shards.
-  virtual std::size_t depth_high_water() const = 0;
-};
-
-/// The original intake: one shared BoundedQueue, one mutex.  Still the right
-/// choice for a single worker and the baseline the sharded intake is
-/// benchmarked against.
-template <typename T>
-class SingleQueueIntake final : public Intake<T> {
- public:
-  explicit SingleQueueIntake(std::size_t capacity) : queue_(capacity) {}
-
-  using Intake<T>::try_push;
-  bool try_push(T&& item) override { return queue_.try_push(std::move(item)); }
-  bool wait_for_space() override { return queue_.wait_for_space(); }
-  SpaceWait wait_for_space_for(std::chrono::nanoseconds timeout) override {
-    return queue_.wait_for_space_for(timeout);
-  }
-  std::size_t pop_batch(std::size_t /*worker_index*/, std::vector<T>& out,
-                        std::size_t max_items, std::size_t adaptive_share,
-                        bool* stolen) override {
-    if (stolen) *stolen = false;  // one shared queue: nothing to steal
-    return queue_.pop_batch(out, max_items, adaptive_share);
-  }
-  void close() override { queue_.close(); }
-  std::size_t size() const override { return queue_.size(); }
-  std::size_t capacity() const override { return queue_.capacity(); }
-  std::size_t depth_high_water() const override {
-    return queue_.depth_high_water();
-  }
-
- private:
-  BoundedQueue<T> queue_;
 };
 
 }  // namespace nc::codec

@@ -215,7 +215,7 @@ SubmitResult CompressionService::submit_impl(SessionId id, core::Tensor&& wedge,
           std::max(session->stats.queue_depth_hwm,
                    static_cast<std::int64_t>(session->staging.size()));
       lock.unlock();
-      sched_cv_.notify_one();
+      wake_scheduler();
       return SubmitResult::kAccepted;
     }
     if (!blocking) return SubmitResult::kQueueFull;
@@ -266,9 +266,25 @@ void CompressionService::emit_ready(const std::shared_ptr<Session>& session,
   session->done_cv.notify_all();
 }
 
+void CompressionService::wake_scheduler() {
+  {
+    std::lock_guard<std::mutex> lock(sched_mutex_);
+    ++sched_wakeups_;
+  }
+  sched_cv_.notify_one();
+}
+
 void CompressionService::scheduler_loop() {
   std::vector<ServiceItem> items;
   while (true) {
+    // Read the wake-up counter before scanning: a wedge the scan misses was
+    // staged after this read, so its submit bumps the counter after it too,
+    // and the idle wait below returns instead of sleeping through it.
+    std::uint64_t seen = 0;
+    {
+      std::lock_guard<std::mutex> lock(sched_mutex_);
+      seen = sched_wakeups_;
+    }
     std::size_t moved = 0;
     for (const auto& session : session_round()) {
       items.clear();
@@ -319,7 +335,8 @@ void CompressionService::scheduler_loop() {
       if (empty) return;
       continue;
     }
-    sched_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    sched_cv_.wait(lock,
+                   [&] { return sched_closing_ || sched_wakeups_ != seen; });
   }
 }
 
@@ -402,8 +419,9 @@ SessionStats CompressionService::close_session(SessionId id) {
   {
     std::unique_lock<std::mutex> lock(session->mutex);
     session->closed = true;
-    session->space_cv.notify_all();  // blocked submits wake with kClosed
-    sched_cv_.notify_one();          // schedule whatever is still staged
+    // Blocked submits wake with kClosed.  The scheduler needs no wake-up:
+    // every wedge still staged already signalled it when it was submitted.
+    session->space_cv.notify_all();
     session->done_cv.wait(lock, [&] { return session->drained_locked(); });
     stats = session->snapshot_locked();
   }

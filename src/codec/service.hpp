@@ -222,6 +222,10 @@ class CompressionService {
   static void emit_ready(const std::shared_ptr<Session>& session,
                          std::unique_lock<std::mutex>& lock);
 
+  /// Signal the scheduler that a wedge was staged.  The bump happens under
+  /// sched_mutex_, so it cannot slip between the scheduler's idle check and
+  /// its wait.
+  void wake_scheduler();
   void scheduler_loop();
   void admission_loop();
   void admission_pass();
@@ -248,6 +252,7 @@ class CompressionService {
 
   std::mutex sched_mutex_;
   std::condition_variable sched_cv_;
+  std::uint64_t sched_wakeups_ = 0;  ///< bumped once per staged wedge
   bool sched_closing_ = false;
 
   std::mutex admission_mutex_;

@@ -115,8 +115,7 @@ StreamCompressor::StreamCompressor(const WedgeCodec& codec,
     : StreamCompressor(
           codec,
           [&] {
-            // Legacy single-worker shape: one worker resolves kAuto to the
-            // single shared queue, exactly the pre-sharding behavior.
+            // Legacy single-worker shape.
             StreamOptions opt;
             opt.queue_capacity = queue_capacity;
             opt.batch_size = batch_size;

@@ -7,17 +7,16 @@
 /// analysis streams the stored bitstreams back through the decoder
 /// (`StreamDecompressor`).  Both are thin adapters over the generic
 /// `StreamPipeline` worker pool (see stream_pipeline.hpp for the concurrency
-/// model: pluggable bounded intake — a shared queue or per-worker
-/// work-stealing shards, `StreamOptions::intake` — with explicit
-/// backpressure, adaptively-sized batched transforms, sequence numbering,
-/// optional in-order emission, failure containment and idempotent finish()).
-/// Both directions inherit the sharded intake and its steal/depth
-/// observability (`StreamStats::batches_stolen` / `queue_depth_hwm`) for
-/// free, since the intake lives below the transform.  They likewise both
-/// support the lossless spill tier (`StreamOptions::spill_dir`,
-/// spill.hpp): the write side spills raw fp32 wedges, the read side spills
-/// serialized WedgeEnvelope bytes, and in either case a burst beyond the
-/// intake bound lands on disk and is replayed — `wedges_dropped` stays 0.
+/// model: one bounded FIFO intake with explicit backpressure,
+/// adaptively-sized batched transforms, sequence numbering, optional
+/// in-order emission, failure containment and idempotent finish()).
+/// Both directions inherit the intake's depth observability
+/// (`StreamStats::queue_depth_hwm`) for free, since the intake lives below
+/// the transform.  They likewise both support the lossless spill tier
+/// (`StreamOptions::spill_dir`, spill.hpp): the write side spills raw fp32
+/// wedges, the read side spills serialized WedgeEnvelope bytes, and in
+/// either case a burst beyond the intake bound lands on disk and is
+/// replayed — `wedges_dropped` stays 0.
 ///
 /// Since the codec-pluggable refactor, both stages are parameterized by a
 /// `WedgeCodec` (wedge_codec.hpp) rather than hard-wired to the BCAE: any
@@ -69,14 +68,11 @@ class StreamCompressor {
   const StreamOptions& options() const { return pipeline_.options(); }
 
   /// Elastic pool passthroughs (see StreamPipeline): manual/observed live
-  /// worker count and the resolved core placement when pinning is active.
+  /// worker count.
   std::size_t set_live_workers(std::size_t n, const char* reason = "manual") {
     return pipeline_.set_live_workers(n, reason);
   }
   std::size_t live_workers() const { return pipeline_.live_workers(); }
-  const std::vector<util::CpuInfo>& placement() const {
-    return pipeline_.placement();
-  }
 
  private:
   StreamPipeline<core::Tensor, WedgeEnvelope> pipeline_;
@@ -125,9 +121,6 @@ class StreamDecompressor {
     return pipeline_.set_live_workers(n, reason);
   }
   std::size_t live_workers() const { return pipeline_.live_workers(); }
-  const std::vector<util::CpuInfo>& placement() const {
-    return pipeline_.placement();
-  }
 
  private:
   StreamPipeline<WedgeEnvelope, core::Tensor> pipeline_;

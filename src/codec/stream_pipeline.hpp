@@ -10,20 +10,18 @@
 /// failure containment and idempotent teardown — so that machinery lives
 /// here once, parameterized by the batch transform:
 ///
-///   StreamPipeline<In, Out>:  In items -> [Intake] -> n_workers x
+///   StreamPipeline<In, Out>:  In items -> [BoundedQueue] -> n_workers x
 ///       transform(batch of In) -> Out items -> sink(seq, Out)
 ///
-/// The intake layer is pluggable (intake.hpp): `IntakeMode::kSingleQueue` is
-/// the original shared BoundedQueue, `kSharded` gives every worker its own
-/// bounded shard with batch work-stealing (sharded_queue.hpp), and `kAuto`
-/// (the default) picks sharded whenever `n_workers > 1`.
+/// The intake is one FIFO `BoundedQueue` (intake.hpp) shared by every
+/// worker.  Pushes are already serialized under the submit mutex and a
+/// wedge costs milliseconds of transform time, so a single queue lock is
+/// not where the time goes.
 ///
 /// Concurrency model (identical for every instantiation):
 ///  * Every accepted item gets a sequence number matching submission (FIFO)
-///    order; the sink receives it alongside the payload.  A popped batch is
-///    ascending in sequence number (per-source FIFO).  With the single
-///    queue the numbers are also contiguous; sharded batches may have gaps
-///    (items routed to sibling shards), which the reorder buffer tolerates.
+///    order; the sink receives it alongside the payload.  Without the spill
+///    tier a popped batch is a contiguous ascending run of sequence numbers.
 ///  * Adaptive batching (`StreamOptions::adaptive_batch`, on by default):
 ///    each worker sizes its next drain from the current intake depth —
 ///    toward `batch_size` when the pipeline is backed up (throughput),
@@ -40,10 +38,10 @@
 ///    The bound is per-batch soft — a passing batch may overshoot by up to
 ///    `batch_size` entries.  Progress guarantee: the worker holding the
 ///    next-to-emit batch always passes, and if the next-to-emit item is
-///    still in the intake while every other worker is parked on the bound,
-///    the last arriving worker passes anyway (gate escape) and goes back to
-///    pop — the sharded intake's `kOldestHead` steal policy then steers it
-///    straight to that item, so the overshoot stays small.
+///    not yet in any worker's hands (a replayed spill item still on disk or
+///    queued behind later fresh items) while every other worker is parked
+///    on the bound, the last arriving worker passes anyway (gate escape) and
+///    goes back to pop.
 ///  * A transform failure (throw, or wrong output count) drops the whole
 ///    batch into `wedges_failed` without killing the worker (a dead worker
 ///    turns blocking submits into a deadlock) or stalling the ordered cursor.
@@ -74,10 +72,8 @@
 ///    mode, driven by `set_live_workers()`.  Parked workers leave the
 ///    ordered gate's `workers_alive_` count (the same protocol as worker
 ///    exit), so the gate escape and the spill drainer stay correct while
-///    the live set changes.  With `pin_workers`, workers are pinned
-///    node-major over the allowed CPU set (util/topology.hpp) and intake
-///    shards are homed on their owner's NUMA node so depth-based steals
-///    prefer same-node shards; unsupported platforms degrade to a no-op.
+///    the live set changes.  Workers are never pinned to cores: the OS
+///    scheduler places them.
 ///  * `finish()` is idempotent (atomic exchange) and safe to call from any
 ///    thread, including implicitly via the destructor after an explicit
 ///    `finish()`.
@@ -104,12 +100,10 @@
 
 #include "codec/autoscale.hpp"
 #include "codec/intake.hpp"
-#include "codec/sharded_queue.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
 #include "util/timer.hpp"
-#include "util/topology.hpp"
 
 namespace nc::codec {
 
@@ -123,11 +117,6 @@ struct StreamOptions {
   /// workers block (0 = unbounded).  Bounds memory when one worker stalls on
   /// a slow batch while the others race ahead; soft by up to one batch.
   std::size_t reorder_capacity = 0;
-  /// Intake implementation; kAuto = sharded iff n_workers > 1.
-  IntakeMode intake = IntakeMode::kAuto;
-  /// Sharded intake only: shard count (0 = one shard per worker).  The
-  /// aggregate capacity is queue_capacity rounded up to a shard multiple.
-  std::size_t n_shards = 0;
   /// Scale each worker's drain batch with intake depth: up to batch_size
   /// when backed up, down to 1 when lightly loaded (bounded latency).
   bool adaptive_batch = true;
@@ -159,7 +148,7 @@ struct StreamOptions {
   /// fill this from their codec automatically.
   std::uint32_t spill_codec_id = 0;
 
-  // --- Elastic, topology-aware pool (autoscale.hpp / util/topology.hpp) ---
+  // --- Elastic pool (autoscale.hpp) ---
   /// Autoscale the live worker count in [min_workers, max_workers] from
   /// observed load.  The pipeline spawns max_workers threads up front and
   /// parks surplus ones on a condvar (scale-up is a notify, not a thread
@@ -176,11 +165,6 @@ struct StreamOptions {
   std::size_t scale_cooldown = 4;  ///< hold ticks after a decision (hysteresis)
   double scale_up_depth = 0.5;     ///< avg depth fraction triggering scale-up
   double scale_down_busy = 0.25;   ///< avg busy fraction allowing scale-down
-  /// Pin each worker to a core (node-major over the allowed CPU set) and
-  /// home each intake shard on its owner's NUMA node, so steals prefer
-  /// same-node shards.  Graceful no-op where affinity is unsupported (or
-  /// NC_TOPOLOGY=off): workers run unpinned, placement stays advisory.
-  bool pin_workers = false;
   /// Observability: invoked once per scaling decision (from the controller
   /// thread, or the set_live_workers caller).  Must not call back into
   /// finish().
@@ -194,7 +178,6 @@ struct StreamOptions {
 struct WorkerStats {
   std::int64_t wedges_compressed = 0;
   std::int64_t batches = 0;
-  std::int64_t batches_stolen = 0;  ///< pops served from a sibling's shard
   std::int64_t payload_bytes = 0;
   double active_s = 0.0;  ///< thread-time spent in transform+sink
 };
@@ -205,13 +188,15 @@ struct StreamStats {
   std::int64_t wedges_compressed = 0;  ///< made it through the transform
   std::int64_t wedges_failed = 0;    ///< accepted but lost to a transform error
   std::int64_t payload_bytes = 0;
-  std::int64_t batches_stolen = 0;   ///< pops served off-shard for a dry shard
+  /// Always 0: the intake is one shared FIFO, so no pop is ever served from
+  /// another worker's queue.  Kept so existing stats readers still compile.
+  std::int64_t batches_stolen = 0;
   std::int64_t wedges_spilled = 0;   ///< diverted to the spill tier on a full intake
   std::int64_t wedges_replayed = 0;  ///< spilled wedges re-injected into the intake
   std::int64_t spill_bytes_hwm = 0;  ///< deepest the on-disk spill tier ever got
   std::int64_t queue_depth_hwm = 0;  ///< deepest the intake ever got
-  /// Effective intake capacity: queue_capacity, rounded up to a shard
-  /// multiple by the sharded intake (the bound queue_depth_hwm runs under).
+  /// Intake capacity after normalization (the bound queue_depth_hwm runs
+  /// under).
   std::int64_t queue_capacity = 0;
   double elapsed_s = 0.0;  ///< wall time with >=1 worker busy (parallel active time)
   double cpu_s = 0.0;      ///< summed per-worker active time
@@ -221,7 +206,6 @@ struct StreamStats {
   std::int64_t scale_down_events = 0;  ///< live target lowered
   std::int64_t workers_hwm = 0;        ///< highest live worker target reached
   std::int64_t workers_lwm = 0;        ///< lowest live worker target reached
-  std::int64_t workers_pinned = 0;     ///< workers whose core pin succeeded
   /// Time-weighted mean of the live worker target over the pipeline's
   /// lifetime (construction to finish) — the quiet-phase CPU saving, as a
   /// number.
@@ -235,8 +219,7 @@ struct StreamStats {
 
 namespace detail {
 // Zero sizes are nonsensical (capacity 0 would deadlock blocking submits);
-// clamp before the intake is constructed from them, and resolve kAuto so
-// options() reports the mode actually running.
+// clamp before the intake is constructed from them.
 inline StreamOptions normalized_stream_options(StreamOptions options) {
   if (options.queue_capacity == 0) options.queue_capacity = 1;
   if (options.batch_size == 0) options.batch_size = 1;
@@ -254,29 +237,7 @@ inline StreamOptions normalized_stream_options(StreamOptions options) {
     options.min_workers = options.n_workers;
     options.max_workers = options.n_workers;
   }
-  if (options.intake == IntakeMode::kAuto) {
-    // Keyed on the pool ceiling, not the initial live count: an elastic
-    // pipeline born with one live worker still scales to max_workers.
-    options.intake = options.max_workers > 1 ? IntakeMode::kSharded
-                                             : IntakeMode::kSingleQueue;
-  }
-  if (options.n_shards == 0) options.n_shards = options.max_workers;
   return options;
-}
-
-template <typename T>
-std::unique_ptr<Intake<T>> make_intake(const StreamOptions& options) {
-  if (options.intake == IntakeMode::kSharded) {
-    // Ordered pipelines with a bounded reorder buffer pop oldest-first so
-    // the buffer stays shallow and the gate escape resolves quickly;
-    // everything else steals by depth for throughput.
-    const StealPolicy policy = (options.ordered && options.reorder_capacity > 0)
-                                   ? StealPolicy::kOldestHead
-                                   : StealPolicy::kDeepest;
-    return std::make_unique<ShardedQueue<T>>(options.n_shards,
-                                             options.queue_capacity, policy);
-  }
-  return std::make_unique<SingleQueueIntake<T>>(options.queue_capacity);
 }
 }  // namespace detail
 
@@ -316,7 +277,7 @@ class StreamPipeline {
         payload_bytes_(std::move(payload_bytes)),
         sink_(std::move(sink)),
         spill_codec_(std::move(spill_codec)),
-        intake_(detail::make_intake<Item>(options_)),
+        intake_(options_.queue_capacity),
         workers_alive_(options_.max_workers) {
     // Stand the spill tier up before any thread exists: a SpillLog failure
     // (unwritable dir) must abort construction cleanly, not orphan workers.
@@ -333,34 +294,10 @@ class StreamPipeline {
       spill_ = std::make_unique<SpillLog>(sopt);
       spill_low_water_ =
           options_.spill_low_water != 0
-              ? std::min(options_.spill_low_water, intake_->capacity())
-              : intake_->capacity() / 2;
+              ? std::min(options_.spill_low_water, intake_.capacity())
+              : intake_.capacity() / 2;
       drainer_ = std::thread([this] { drainer_loop(); });
     }
-    // Topology plan (before any worker exists: placement_ and shard homes
-    // are written once here and read without synchronization afterwards).
-    sharded_ = dynamic_cast<ShardedQueue<Item>*>(intake_.get());
-    if (options_.pin_workers) {
-      const util::Topology& topo = util::system_topology();
-      if (topo.affinity_supported && !topo.cpus.empty()) {
-        // Claim a process-wide contiguous run of core slots (node-major):
-        // the always-live low-index workers land on one node first, so a
-        // mostly scaled-down elastic pool stays NUMA-compact, and two
-        // pipelines built in one process get disjoint cores instead of both
-        // pinning worker 0 to cpu 0.
-        placement_ = util::claim_cpu_slots(options_.max_workers);
-        if (sharded_ && !placement_.empty()) {
-          // Home each shard on its owner slot's node so kDeepest steals can
-          // prefer same-node shards.
-          std::vector<int> nodes(options_.n_shards);
-          for (std::size_t s = 0; s < nodes.size(); ++s) {
-            nodes[s] = placement_[s % placement_.size()].node;
-          }
-          sharded_->set_shard_nodes(std::move(nodes));
-        }
-      }
-    }
-    intake_->set_active_workers(options_.n_workers);
     // The pool is always max_workers threads; elasticity is which of them
     // are live (the rest park on scale_cv_).  A static pool has
     // max_workers == n_workers, so nothing changes for it.
@@ -418,7 +355,7 @@ class StreamPipeline {
         std::lock_guard<std::mutex> lock(submit_mutex_);
         if (push_locked(item)) return;
       }
-      if (!intake_->wait_for_space()) {
+      if (!intake_.wait_for_space()) {
         // Intake closed (submit after finish); the item is lost and must
         // show up in the drop count.
         wedges_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -463,7 +400,7 @@ class StreamPipeline {
         merged_.spill_bytes_hwm = static_cast<std::int64_t>(spill_->bytes_hwm());
         spill_->close();
       }
-      intake_->close();
+      intake_.close();
       for (auto& worker : workers_) {
         if (worker.joinable()) worker.join();
       }
@@ -471,13 +408,12 @@ class StreamPipeline {
       for (const auto& ws : worker_stats_) {
         merged_.wedges_compressed += ws.wedges_compressed;
         merged_.payload_bytes += ws.payload_bytes;
-        merged_.batches_stolen += ws.batches_stolen;
         merged_.cpu_s += ws.active_s;
       }
       merged_.elapsed_s = busy_s_;  // workers joined: no interval still open
       merged_.queue_depth_hwm =
-          static_cast<std::int64_t>(intake_->depth_high_water());
-      merged_.queue_capacity = static_cast<std::int64_t>(intake_->capacity());
+          static_cast<std::int64_t>(intake_.depth_high_water());
+      merged_.queue_capacity = static_cast<std::int64_t>(intake_.capacity());
       {
         // Writers are quiescent (controller joined, set_live_workers bails
         // on scale_closing_); the lock is belt-and-braces for a racing call
@@ -493,7 +429,6 @@ class StreamPipeline {
                 : static_cast<double>(
                       live_target_.load(std::memory_order_relaxed));
       }
-      merged_.workers_pinned = workers_pinned_.load(std::memory_order_relaxed);
     }
     StreamStats out = merged_;
     {
@@ -514,11 +449,10 @@ class StreamPipeline {
 
   /// Set the live worker target.  Clamps to [min_workers, max_workers]
   /// (a static pool's range is a point, so this is a no-op there), wakes
-  /// parked workers on scale-up, re-routes fresh intake pushes onto live
-  /// workers' shards, and fires on_scale_event.  Safe from any thread —
-  /// this is both the controller's apply path and the manual scaling entry
-  /// point when scale_interval_s == 0.  Returns the applied target; a call
-  /// racing finish() leaves the target unchanged.
+  /// parked workers on scale-up, and fires on_scale_event.  Safe from any
+  /// thread — this is both the controller's apply path and the manual
+  /// scaling entry point when scale_interval_s == 0.  Returns the applied
+  /// target; a call racing finish() leaves the target unchanged.
   std::size_t set_live_workers(std::size_t n, const char* reason = "manual") {
     n = std::clamp(n, options_.min_workers, options_.max_workers);
     std::size_t prev;
@@ -540,7 +474,6 @@ class StreamPipeline {
       }
     }
     scale_cv_.notify_all();  // scale-up: wake parked workers
-    intake_->set_active_workers(n);
     if (options_.on_scale_event) {
       ScaleEvent event;
       event.t_s = lifetime_.elapsed_s();
@@ -557,10 +490,6 @@ class StreamPipeline {
     return live_target_.load(std::memory_order_relaxed);
   }
 
-  /// Per-worker-slot core placement when pinning is active; empty when
-  /// pin_workers is off, affinity is unsupported, or NC_TOPOLOGY=off.
-  const std::vector<util::CpuInfo>& placement() const { return placement_; }
-
   // --- Live load observability (lock-free monitoring; values are instant
   // snapshots and may be stale by one operation) ------------------------
   /// Wedges diverted to the spill tier so far.
@@ -574,9 +503,9 @@ class StreamPipeline {
     return spill_ ? spill_->bytes_on_disk() : 0;
   }
   /// Items queued at the intake right now.
-  std::size_t intake_depth() const { return intake_->size(); }
-  /// The intake's effective capacity (sharding may round it up).
-  std::size_t intake_capacity() const { return intake_->capacity(); }
+  std::size_t intake_depth() const { return intake_.size(); }
+  /// The intake's capacity (queue_capacity after normalization).
+  std::size_t intake_capacity() const { return intake_.capacity(); }
 
  private:
   /// A queued item tagged with its FIFO sequence number.
@@ -591,7 +520,7 @@ class StreamPipeline {
   /// spill deadline wait) and the spill fallback stay cheap.
   bool push_locked(In& item) {
     Item queued{next_seq_, std::move(item)};
-    if (!intake_->try_push(std::move(queued))) {
+    if (!intake_.try_push(std::move(queued))) {
       item = std::move(queued.value);  // failed push left `queued` intact
       return false;
     }
@@ -613,7 +542,7 @@ class StreamPipeline {
       while (true) {
         const auto now = clock::now();
         if (now >= deadline) break;
-        const SpaceWait wait = intake_->wait_for_space_for(
+        const SpaceWait wait = intake_.wait_for_space_for(
             std::chrono::duration_cast<std::chrono::nanoseconds>(deadline -
                                                                  now));
         if (wait == SpaceWait::kClosed) break;  // finishing: drop below
@@ -677,7 +606,7 @@ class StreamPipeline {
   /// low-water mark.
   bool should_replay_locked() const {  ///< caller holds drainer_mutex_
     return spill_->pending() > 0 &&
-           (final_drain_ || intake_->size() <= spill_low_water_);
+           (final_drain_ || intake_.size() <= spill_low_water_);
   }
 
   /// Spill drainer: with nothing pending it parks indefinitely (a spill
@@ -733,8 +662,8 @@ class StreamPipeline {
     // rather than hanging or leaking the seq.  A failed try_push leaves
     // `queued` intact, so the retry loop never re-reads or copies.
     Item queued{rec->seq, std::move(value)};
-    while (!intake_->try_push(std::move(queued))) {
-      if (!intake_->wait_for_space()) {
+    while (!intake_.try_push(std::move(queued))) {
+      if (!intake_.wait_for_space()) {
         fail_replayed(rec->seq);
         return;
       }
@@ -812,9 +741,9 @@ class StreamPipeline {
         }
       }
       AutoscaleSample sample;
-      const double capacity = static_cast<double>(intake_->capacity());
+      const double capacity = static_cast<double>(intake_.capacity());
       sample.depth_fraction =
-          capacity > 0 ? static_cast<double>(intake_->size()) / capacity : 0.0;
+          capacity > 0 ? static_cast<double>(intake_.size()) / capacity : 0.0;
       const double live =
           static_cast<double>(live_target_.load(std::memory_order_relaxed));
       sample.busy_fraction =
@@ -840,18 +769,18 @@ class StreamPipeline {
   /// this batch can advance the emit cursor (its minimum sequence number is
   /// at or below next_emit_) — that batch must always pass or nothing would
   /// ever drain.  Without the spill tier a batch's sequence numbers are
-  /// ascending (FIFO pop within its source shard) and seqs.front() is the
-  /// minimum; a replayed spill item re-enters the intake with an *older*
-  /// seq than its shard neighbours, so callers pass the true minimum.
+  /// ascending (FIFO pop) and seqs.front() is the minimum; a replayed spill
+  /// item re-enters the intake with an *older* seq than the fresh items
+  /// already queued, so callers pass the true minimum.
   ///
-  /// Gate escape: with a sharded intake, pops are not globally FIFO, so the
-  /// next-to-emit item can still sit in a shard while every live worker
-  /// holds a later batch — without an escape that is a deadlock (everyone
-  /// parked here, nobody left to pop it).  The last free worker therefore
-  /// passes the gate anyway (detected as gate_waiters_ == workers_alive_ at
-  /// wait entry: nobody else can pop), overshooting the bound by its batch,
-  /// and returns to the intake — where the kOldestHead steal policy sends
-  /// it to the oldest pending item, i.e. toward next_emit_.
+  /// Gate escape: with the spill tier on, the next-to-emit item can still
+  /// sit on disk or in the intake behind later items while every live
+  /// worker holds a later batch — without an escape that is a deadlock
+  /// (everyone parked here, nobody left to pop it).  The last free worker
+  /// therefore passes the gate anyway (detected as gate_waiters_ ==
+  /// workers_alive_ at wait entry: nobody else can pop), overshooting the
+  /// bound by its batch, and returns to the intake to keep draining toward
+  /// next_emit_.
   void wait_for_reorder_space_locked(std::unique_lock<std::mutex>& lock,
                                      std::uint64_t min_seq) {
     if (options_.reorder_capacity == 0) return;
@@ -923,10 +852,6 @@ class StreamPipeline {
   }
 
   void worker_loop(std::size_t worker_index) {
-    if (worker_index < placement_.size() &&
-        util::pin_current_thread(placement_[worker_index].cpu)) {
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-    }
     WorkerStats& ws = worker_stats_[worker_index];
     std::vector<Item> items;
     std::vector<std::uint64_t> seqs;
@@ -947,8 +872,7 @@ class StreamPipeline {
       items.clear();
       seqs.clear();
       batch.clear();
-      bool stolen = false;
-      // Adaptive batching happens inside the intake, on the depth observed
+      // Adaptive batching happens inside the queue, on the depth observed
       // at pop time: a fair share of the backlog per worker, clamped to
       // [1, batch_size] — full batches when backed up (throughput), single
       // items on a trickle (latency, and the trickle spreads across
@@ -957,11 +881,7 @@ class StreamPipeline {
           options_.adaptive_batch
               ? live_target_.load(std::memory_order_relaxed)
               : 0;
-      if (intake_->pop_batch(worker_index, items, options_.batch_size, share,
-                             &stolen) == 0) {
-        break;
-      }
-      if (stolen) ++ws.batches_stolen;
+      if (intake_.pop_batch(items, options_.batch_size, share) == 0) break;
       for (auto& item : items) {
         seqs.push_back(item.seq);
         batch.push_back(std::move(item.value));
@@ -1030,7 +950,7 @@ class StreamPipeline {
   ByteCounter payload_bytes_;
   SeqSink sink_;
   SpillCodec spill_codec_;
-  std::unique_ptr<Intake<Item>> intake_;
+  BoundedQueue<Item> intake_;
 
   // Intake sequencing: the mutex makes seq numbers match submission order.
   std::mutex submit_mutex_;
@@ -1099,9 +1019,6 @@ class StreamPipeline {
   double live_mark_s_ = 0.0;    ///< lifetime_ time of the last integration
   util::Timer lifetime_;        ///< construction-relative clock (events, avg)
   std::atomic<int> busy_count_{0};  ///< lock-free mirror of busy_workers_
-  std::vector<util::CpuInfo> placement_;  ///< per-slot core pin (may be empty)
-  std::atomic<std::int64_t> workers_pinned_{0};
-  ShardedQueue<Item>* sharded_ = nullptr;  ///< non-null iff intake is sharded
   std::thread controller_;
 
   std::atomic<bool> finished_{false};

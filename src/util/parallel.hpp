@@ -1,15 +1,24 @@
 /// \file parallel.hpp
 /// \brief Thin OpenMP wrappers so the rest of the library stays readable and
-///        compiles (serially) without OpenMP.
+///        compiles (serially) without OpenMP, plus the hardware thread count.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <thread>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
 namespace nc::util {
+
+/// `std::thread::hardware_concurrency()` with the 0 = "unknown" return
+/// clamped to 1.  The one shared guard for every call site in the tree.
+inline std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 /// Number of worker threads OpenMP will use for parallel regions.
 inline int num_threads() {

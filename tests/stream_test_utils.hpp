@@ -1,13 +1,12 @@
 /// \file stream_test_utils.hpp
 /// \brief Shared scaffolding for the streaming suites (test_stream_pipeline,
-///        test_stream_decompress, test_sharded_intake, test_spill).
+///        test_stream_decompress, test_spill, test_elastic_pipeline, ...).
 ///
-/// Every stream contract must hold identically under both intake layers, so
-/// the suites parameterize over IntakeMode; several also need a worker
-/// stalled mid-transform (to pin down reorder bounds, steal fairness,
-/// adaptive batching) and sinks that record what arrived.  That machinery
-/// was copy-pasted three times before this header existed — keep it here so
-/// a fourth suite can't drift.
+/// Every stream contract must hold however the worker pool drains the
+/// intake, so the suites parameterize over PipelineVariant; several also
+/// need a worker stalled mid-transform (to pin down reorder bounds, stall
+/// tolerance, adaptive batching) and sinks that record what arrived.  Keep
+/// that machinery here so the suites can't drift.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,25 +31,58 @@ namespace nc::testutil {
 /// The synthetic pipeline most generic suites instantiate.
 using IntPipeline = codec::StreamPipeline<int, int>;
 
-/// Base fixture for suites parameterized over both intake layers.
-class IntakeParamTest : public ::testing::TestWithParam<codec::IntakeMode> {
+/// How the worker pool drains the intake.  Each variant moves one knob off
+/// the defaults, so a contract that breaks names the knob that broke it.
+enum class PipelineVariant {
+  kAdaptive,    ///< defaults: static pool, depth-adaptive drain size
+  kFixedDrain,  ///< adaptive_batch off: every pop takes up to batch_size
+  kElastic,     ///< elastic pool in manual mode, held at its full size
+};
+
+inline const char* to_string(PipelineVariant v) {
+  switch (v) {
+    case PipelineVariant::kAdaptive: return "adaptive";
+    case PipelineVariant::kFixedDrain: return "fixed_drain";
+    case PipelineVariant::kElastic: return "elastic";
+  }
+  return "unknown";
+}
+
+/// gtest printer, so test listings show the variant name, not its bytes.
+inline void PrintTo(PipelineVariant v, std::ostream* os) { *os << to_string(v); }
+
+/// StreamOptions for `v`; callers then set queue/batch/worker sizes.  The
+/// elastic pool runs without a controller (scale_interval_s = 0), so all
+/// n_workers stay live and a test's worker count means what it says.
+inline codec::StreamOptions variant_options(PipelineVariant v) {
+  codec::StreamOptions opt;
+  if (v == PipelineVariant::kFixedDrain) opt.adaptive_batch = false;
+  if (v == PipelineVariant::kElastic) {
+    opt.elastic = true;
+    opt.scale_interval_s = 0.0;
+  }
+  return opt;
+}
+
+/// Base fixture for suites parameterized over PipelineVariant.
+class PipelineVariantTest : public ::testing::TestWithParam<PipelineVariant> {
  protected:
   codec::StreamOptions base_options() const {
-    codec::StreamOptions opt;
-    opt.intake = GetParam();
-    return opt;
+    return variant_options(GetParam());
   }
 };
 
-/// Instantiates `suite` once per intake mode with readable test names
-/// (".../single", ".../sharded").
-#define NC_INSTANTIATE_BOTH_INTAKES(suite)                               \
+/// Instantiates `suite` once per PipelineVariant with readable test names
+/// (".../adaptive", ".../fixed_drain", ".../elastic").
+#define NC_INSTANTIATE_PIPELINE_VARIANTS(suite)                          \
   INSTANTIATE_TEST_SUITE_P(                                              \
-      BothIntakes, suite,                                                \
-      ::testing::Values(::nc::codec::IntakeMode::kSingleQueue,           \
-                        ::nc::codec::IntakeMode::kSharded),              \
-      [](const ::testing::TestParamInfo<::nc::codec::IntakeMode>& tpi) {  \
-        return std::string(::nc::codec::to_string(tpi.param));           \
+      Variants, suite,                                                   \
+      ::testing::Values(::nc::testutil::PipelineVariant::kAdaptive,      \
+                        ::nc::testutil::PipelineVariant::kFixedDrain,    \
+                        ::nc::testutil::PipelineVariant::kElastic),      \
+      [](const ::testing::TestParamInfo<                                 \
+          ::nc::testutil::PipelineVariant>& tpi) {                       \
+        return std::string(::nc::testutil::to_string(tpi.param));        \
       })
 
 /// One-shot gate a transform blocks on to stall a worker mid-batch.

@@ -72,7 +72,7 @@ TEST(BcaeModel, DecodersReturnInputShape) {
 
 TEST(BcaeModel, EncoderParamCountsNearPaper) {
   // Paper §3.2 Table 1: 226.2k / 9.8k / 169.0k / 201.7k.  Our architecture
-  // reconstruction lands within 10% for ++/HT (see DESIGN.md).
+  // reconstruction lands within 10% for ++/HT.
   auto pp = nc::bcae::make_bcae_pp(1);
   EXPECT_EQ(pp.encoder_param_count(), 215312);  // golden; paper 226.2k (~5%)
   auto ht = nc::bcae::make_bcae_ht(1);

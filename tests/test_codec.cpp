@@ -9,10 +9,12 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "codec/bcae_codec.hpp"
 #include "codec/stream.hpp"
 #include "tests/reference.hpp"
+#include "tests/stream_test_utils.hpp"
 #include "tpc/dataset.hpp"
 
 namespace {
@@ -21,7 +23,6 @@ using nc::codec::BcaeCodec;
 using nc::codec::BcaeWedgeCodec;
 using nc::codec::CompressedWedge;
 using nc::codec::WedgeEnvelope;
-using nc::codec::IntakeMode;
 using nc::core::Mode;
 using nc::core::Tensor;
 
@@ -245,6 +246,152 @@ TEST(BoundedQueue, WaitForSpaceUnblocksOnCloseAndReportsIt) {
   closer.join();
 }
 
+TEST(BoundedQueue, WaitForSpaceUnblocksOnPop) {
+  nc::codec::BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.try_push(0));
+  std::atomic<bool> unblocked{false};
+  std::thread waiter([&] {
+    EXPECT_TRUE(q.wait_for_space());  // space appears: true
+    unblocked.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(unblocked.load());
+  std::vector<int> out;
+  ASSERT_EQ(q.pop_batch(out, 1), 1u);
+  waiter.join();
+  EXPECT_TRUE(unblocked.load());
+}
+
+TEST(BoundedQueue, DepthHighWaterKeepsThePeak) {
+  nc::codec::BoundedQueue<int> q(16);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
+  std::vector<int> out;
+  while (q.size() > 0) (void)q.pop_batch(out, 4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
+  EXPECT_EQ(q.depth_high_water(), 5u);  // the first wave, not the second
+}
+
+TEST(BoundedQueue, ConcurrentProducersAndWorkersDeliverEveryItemOnce) {
+  constexpr int kProducers = 3, kWorkers = 4, kPerProducer = 200;
+  nc::codec::BoundedQueue<int> q(32);
+  std::atomic<int> next{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int v = next.fetch_add(1);
+        while (!q.try_push(v)) std::this_thread::yield();
+      }
+    });
+  }
+  std::mutex seen_mutex;
+  std::vector<int> seen;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&] {
+      std::vector<int> got;
+      while (q.pop_batch(got, 8) != 0) {
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        seen.insert(seen.end(), got.begin(), got.end());
+        got.clear();
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.close();
+  for (auto& t : workers) t.join();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+  std::sort(seen.begin(), seen.end());
+  for (int i = 0; i < kProducers * kPerProducer; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);  // each exactly once
+  }
+}
+
+TEST(BoundedQueue, PopBatchDeliversItemsInPushOrder) {
+  // One FIFO: however the drains are sized, items leave in push order.
+  nc::codec::BoundedQueue<int> q(16);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(i));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 3), 3u);
+  EXPECT_EQ(q.pop_batch(out, 1), 1u);
+  EXPECT_EQ(q.pop_batch(out, 16), 6u);  // takes what is there, no more
+  std::vector<int> expected(10);
+  for (int i = 0; i < 10; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(out, expected);
+}
+
+TEST(BoundedQueue, FailedTryPushLeavesItemIntact) {
+  // The spill tier reuses an item whose push failed, so a rejected rvalue
+  // push must not move from it — neither on a full queue nor a closed one.
+  nc::codec::BoundedQueue<std::vector<int>> q(1);
+  ASSERT_TRUE(q.try_push(std::vector<int>{1}));
+  std::vector<int> item{7, 8, 9};
+  EXPECT_FALSE(q.try_push(std::move(item)));  // full
+  EXPECT_EQ(item, (std::vector<int>{7, 8, 9}));
+  q.close();
+  EXPECT_FALSE(q.try_push(std::move(item)));  // closed
+  EXPECT_EQ(item, (std::vector<int>{7, 8, 9}));
+}
+
+TEST(BoundedQueue, TimedSpaceWaitTimesOutWhileFull) {
+  nc::codec::BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.try_push(1));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.wait_for_space_for(std::chrono::milliseconds(20)),
+            nc::codec::SpaceWait::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(20));
+}
+
+TEST(BoundedQueue, TimedSpaceWaitReportsReadyThenClosed) {
+  nc::codec::BoundedQueue<int> q(1);
+  EXPECT_EQ(q.wait_for_space_for(std::chrono::seconds(0)),
+            nc::codec::SpaceWait::kReady);  // space now: no wait
+  ASSERT_TRUE(q.try_push(1));
+  std::thread popper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    int v = 0;
+    (void)q.pop(v);
+  });
+  EXPECT_EQ(q.wait_for_space_for(std::chrono::seconds(30)),
+            nc::codec::SpaceWait::kReady);  // woken by the pop
+  popper.join();
+  ASSERT_TRUE(q.try_push(2));
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.close();
+  });
+  EXPECT_EQ(q.wait_for_space_for(std::chrono::seconds(30)),
+            nc::codec::SpaceWait::kClosed);  // woken by close, still full
+  closer.join();
+}
+
+TEST(BoundedQueue, AdaptivePopBatchTakesAFairShareOfTheBacklog) {
+  nc::codec::BoundedQueue<int> q(32);
+  for (int i = 0; i < 9; ++i) ASSERT_TRUE(q.try_push(i));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 8, 4), 3u);  // ceil(9 / 4)
+  EXPECT_EQ(q.pop_batch(out, 8, 4), 2u);  // ceil(6 / 4)
+  EXPECT_EQ(q.pop_batch(out, 8, 0), 4u);  // share 0: up to max_items
+}
+
+TEST(AdaptiveDrainCap, ZeroShareDisablesAdaptivity) {
+  using nc::codec::detail::adaptive_drain_cap;
+  EXPECT_EQ(adaptive_drain_cap(0, 0, 8), 8u);
+  EXPECT_EQ(adaptive_drain_cap(1, 0, 8), 8u);
+  EXPECT_EQ(adaptive_drain_cap(100, 0, 8), 8u);
+}
+
+TEST(AdaptiveDrainCap, FairShareRoundsUpAndClampsToOneAndMax) {
+  using nc::codec::detail::adaptive_drain_cap;
+  EXPECT_EQ(adaptive_drain_cap(0, 4, 8), 1u);    // empty: still one item
+  EXPECT_EQ(adaptive_drain_cap(1, 4, 8), 1u);    // trickle: single items
+  EXPECT_EQ(adaptive_drain_cap(5, 4, 8), 2u);    // ceil(5 / 4)
+  EXPECT_EQ(adaptive_drain_cap(16, 4, 8), 4u);   // exact share
+  EXPECT_EQ(adaptive_drain_cap(64, 4, 8), 8u);   // deep backlog: batch_size
+  EXPECT_EQ(adaptive_drain_cap(64, 1, 8), 8u);   // one worker: whole batch
+}
+
 TEST(StreamCompressor, BlockingSubmitRidesOutTinyQueue) {
   auto model = nc::bcae::make_bcae_ht(63);
   BcaeWedgeCodec codec(model, Mode::kEval);
@@ -264,22 +411,15 @@ TEST(StreamCompressor, BlockingSubmitRidesOutTinyQueue) {
   EXPECT_EQ(received.load(), n);
 }
 
-/// Multi-worker compressor contracts must hold for both intake layers (the
-/// shared queue and the sharded work-stealing intake).
-class StreamCompressorIntake : public ::testing::TestWithParam<IntakeMode> {};
+/// The multi-worker write-side contracts, under each pool variant.
+class StreamCompressorVariant : public nc::testutil::PipelineVariantTest {};
 
-INSTANTIATE_TEST_SUITE_P(
-    BothIntakes, StreamCompressorIntake,
-    ::testing::Values(IntakeMode::kSingleQueue, IntakeMode::kSharded),
-    [](const ::testing::TestParamInfo<IntakeMode>& tpi) {
-      return std::string(nc::codec::to_string(tpi.param));
-    });
+NC_INSTANTIATE_PIPELINE_VARIANTS(StreamCompressorVariant);
 
-TEST_P(StreamCompressorIntake, MultiWorkerCompressesEverySubmittedWedge) {
+TEST_P(StreamCompressorVariant, MultiWorkerCompressesEverySubmittedWedge) {
   auto model = nc::bcae::make_bcae_ht(49);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 16;
   opt.batch_size = 2;
   opt.n_workers = 3;
@@ -316,11 +456,10 @@ TEST_P(StreamCompressorIntake, MultiWorkerCompressesEverySubmittedWedge) {
   EXPECT_GT(stats.throughput_wps(), 0.0);
 }
 
-TEST_P(StreamCompressorIntake, MultiWorkerDropAccountingUnderBackpressure) {
+TEST_P(StreamCompressorVariant, MultiWorkerDropAccountingUnderBackpressure) {
   auto model = nc::bcae::make_bcae_ht(51);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 1;
   opt.batch_size = 1;
   opt.n_workers = 2;
@@ -339,11 +478,10 @@ TEST_P(StreamCompressorIntake, MultiWorkerDropAccountingUnderBackpressure) {
   EXPECT_EQ(received.load(), accepted);
 }
 
-TEST_P(StreamCompressorIntake, OrderedSinkEmitsInSubmissionOrder) {
+TEST_P(StreamCompressorVariant, OrderedSinkEmitsInSubmissionOrder) {
   auto model = nc::bcae::make_bcae_ht(53);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -363,11 +501,10 @@ TEST_P(StreamCompressorIntake, OrderedSinkEmitsInSubmissionOrder) {
   }
 }
 
-TEST_P(StreamCompressorIntake, UnorderedSeqsArePermutationOfSubmissions) {
+TEST_P(StreamCompressorVariant, UnorderedSeqsArePermutationOfSubmissions) {
   auto model = nc::bcae::make_bcae_ht(55);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 3;
@@ -388,11 +525,10 @@ TEST_P(StreamCompressorIntake, UnorderedSeqsArePermutationOfSubmissions) {
   }
 }
 
-TEST_P(StreamCompressorIntake, ThrowingSinkDoesNotKillOrderedPipeline) {
+TEST_P(StreamCompressorVariant, ThrowingSinkDoesNotKillOrderedPipeline) {
   auto model = nc::bcae::make_bcae_ht(65);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -417,11 +553,10 @@ TEST_P(StreamCompressorIntake, ThrowingSinkDoesNotKillOrderedPipeline) {
   }
 }
 
-TEST_P(StreamCompressorIntake, ConcurrentProducersWithConcurrentFinish) {
+TEST_P(StreamCompressorVariant, ConcurrentProducersWithConcurrentFinish) {
   auto model = nc::bcae::make_bcae_ht(57);
   BcaeWedgeCodec codec(model, Mode::kEval);
-  nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
+  nc::codec::StreamOptions opt = base_options();
   opt.queue_capacity = 4;
   opt.batch_size = 2;
   opt.n_workers = 2;

@@ -1,9 +1,9 @@
 /// The codec-pluggable contract, held uniformly: every registered WedgeCodec
-/// must round-trip bit-exactly through the streamed deployment path under
-/// both intake layers, corrupt envelopes must fail loudly at the right layer
-/// (deserialize for unknown ids, wedges_failed for poisoned payloads and
-/// wrong-codec decodes), and the spill tier must stay lossless under a
-/// baseline codec just as it does under the BCAE.
+/// must round-trip bit-exactly through the streamed deployment path,
+/// corrupt envelopes must fail loudly at the right layer (deserialize for
+/// unknown ids, wedges_failed for poisoned payloads and wrong-codec
+/// decodes), and the spill tier must stay lossless under a baseline codec
+/// just as it does under the BCAE.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +25,6 @@
 
 namespace {
 
-using nc::codec::IntakeMode;
 using nc::codec::StreamCompressor;
 using nc::codec::StreamDecompressor;
 using nc::codec::StreamOptions;
@@ -34,6 +33,7 @@ using nc::codec::WedgeCodecId;
 using nc::codec::WedgeEnvelope;
 using nc::core::Tensor;
 using nc::testutil::expect_bit_identical;
+using nc::testutil::PipelineVariant;
 using nc::testutil::raw_wedge;
 using nc::util::SerializeError;
 
@@ -57,22 +57,28 @@ std::string serialized(const WedgeEnvelope& env) {
   return os.str();
 }
 
-/// Every registered codec, under both intake layers.
-class CodecArena
-    : public ::testing::TestWithParam<std::tuple<IntakeMode, std::string>> {
+/// Every registered codec, under each pool variant.
+class CodecArena : public ::testing::TestWithParam<
+                       std::tuple<PipelineVariant, std::string>> {
  protected:
-  IntakeMode intake() const { return std::get<0>(GetParam()); }
+  StreamOptions base_options() const {
+    return nc::testutil::variant_options(std::get<0>(GetParam()));
+  }
   std::string codec_name() const { return std::get<1>(GetParam()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecs, CodecArena,
-    ::testing::Combine(::testing::Values(IntakeMode::kSingleQueue,
-                                         IntakeMode::kSharded),
-                       ::testing::ValuesIn(nc::codec::registered_codec_names())),
-    [](const ::testing::TestParamInfo<std::tuple<IntakeMode, std::string>>& tpi) {
-      std::string name = std::string(nc::codec::to_string(std::get<0>(tpi.param))) +
-                         "_" + std::get<1>(tpi.param);
+    ::testing::Combine(
+        ::testing::Values(PipelineVariant::kAdaptive,
+                          PipelineVariant::kFixedDrain,
+                          PipelineVariant::kElastic),
+        ::testing::ValuesIn(nc::codec::registered_codec_names())),
+    [](const ::testing::TestParamInfo<std::tuple<PipelineVariant, std::string>>&
+           tpi) {
+      std::string name =
+          std::string(nc::testutil::to_string(std::get<0>(tpi.param))) + "_" +
+          std::get<1>(tpi.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
@@ -91,8 +97,7 @@ TEST_P(CodecArena, StreamRoundTripMatchesDirectCodecCallsBitExact) {
     direct_decoded.push_back(codec->decompress(direct.back()));
   }
 
-  StreamOptions opt;
-  opt.intake = intake();
+  StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -155,8 +160,7 @@ TEST_P(CodecArena, TruncatedPayloadFailsWedgeWithoutKillingStream) {
   // baseline bitstream); cutting it in half must fail decode, not crash.
   envs[1].payload.resize(envs[1].payload.size() / 2);
 
-  StreamOptions opt;
-  opt.intake = intake();
+  StreamOptions opt = base_options();
   opt.batch_size = 1;  // contain the failure to the poisoned wedge
   opt.n_workers = 2;
   std::atomic<int> decoded{0};

@@ -1,6 +1,6 @@
 /// \file test_elastic_pipeline.cpp
 /// \brief Elastic worker pool inside StreamPipeline: manual and
-///        controller-driven scaling, under both intake layers.
+///        controller-driven scaling.
 ///
 /// The scaling *policy* is tested deterministically in test_autoscale.cpp;
 /// this suite covers the impure half — the pipeline keeping every existing
@@ -10,9 +10,7 @@
 /// no controller thread) from a dedicated scaler thread, so they stress the
 /// park/unpark machinery as hard as possible without depending on
 /// controller timing; the controller tests at the bottom only assert
-/// eventual reactions via spin_until.  Runs under TSan (tsan label) and
-/// again with NC_TOPOLOGY=off (the ".notopo" ctest variant) to exercise
-/// the no-affinity degradation.
+/// eventual reactions via spin_until.  Runs under TSan (tsan label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,18 +25,18 @@
 
 #include "tests/stream_test_utils.hpp"
 #include "util/serialize.hpp"
-#include "util/topology.hpp"
 
 namespace {
 
 using nc::codec::ScaleEvent;
 using nc::codec::StreamOptions;
 using nc::testutil::IntPipeline;
+using nc::testutil::PipelineVariant;
 
-/// Elastic manual-mode base: pool of 4, floor 1, no controller thread.
-StreamOptions elastic_options(nc::codec::IntakeMode intake) {
-  StreamOptions opt;
-  opt.intake = intake;
+/// Elastic manual-mode base over `drain`'s options: pool of 4, floor 1, no
+/// controller thread.
+StreamOptions elastic_options(PipelineVariant drain) {
+  StreamOptions opt = nc::testutil::variant_options(drain);
   opt.elastic = true;
   opt.scale_interval_s = 0.0;  // manual: scaling only via set_live_workers
   opt.min_workers = 1;
@@ -93,9 +91,18 @@ class ScalerThread {
   std::thread thread_;
 };
 
-class ElasticPipelineIntake : public nc::testutil::IntakeParamTest {};
+/// The elastic pool's contracts under both drain sizings (the pool variant
+/// is the subject here, so it is not an axis).
+class ElasticPipelineDrain : public nc::testutil::PipelineVariantTest {};
 
-TEST_P(ElasticPipelineIntake, ManualScaleClampsAndCounts) {
+INSTANTIATE_TEST_SUITE_P(
+    Drains, ElasticPipelineDrain,
+    ::testing::Values(PipelineVariant::kAdaptive, PipelineVariant::kFixedDrain),
+    [](const ::testing::TestParamInfo<PipelineVariant>& tpi) {
+      return std::string(nc::testutil::to_string(tpi.param));
+    });
+
+TEST_P(ElasticPipelineDrain, ManualScaleClampsAndCounts) {
   StreamOptions opt = elastic_options(GetParam());
   std::mutex events_mutex;
   std::vector<ScaleEvent> events;
@@ -133,7 +140,7 @@ TEST_P(ElasticPipelineIntake, ManualScaleClampsAndCounts) {
   EXPECT_GE(events[1].t_s, events[0].t_s);
 }
 
-TEST_P(ElasticPipelineIntake, StaticPoolIgnoresScaling) {
+TEST_P(ElasticPipelineDrain, StaticPoolIgnoresScaling) {
   StreamOptions opt = base_options();
   opt.n_workers = 2;
   std::atomic<int> received{0};
@@ -155,7 +162,7 @@ TEST_P(ElasticPipelineIntake, StaticPoolIgnoresScaling) {
   EXPECT_EQ(stats.per_worker.size(), 2u) << "static pool size unchanged";
 }
 
-TEST_P(ElasticPipelineIntake, OrderedIdentitySurvivesConcurrentScaling) {
+TEST_P(ElasticPipelineDrain, OrderedIdentitySurvivesConcurrentScaling) {
   // The hard invariant: the bounded reorder gate's escape condition counts
   // live poppers, and parking removes a worker from that count — so ordered
   // emission must stay a loss-free identity while a scaler thread yo-yos
@@ -189,7 +196,7 @@ TEST_P(ElasticPipelineIntake, OrderedIdentitySurvivesConcurrentScaling) {
                                         static_cast<std::uint64_t>(n));
 }
 
-TEST_P(ElasticPipelineIntake, UnorderedLossFreeUnderConcurrentScaling) {
+TEST_P(ElasticPipelineDrain, UnorderedLossFreeUnderConcurrentScaling) {
   StreamOptions opt = elastic_options(GetParam());
   opt.queue_capacity = 8;
   opt.batch_size = 2;
@@ -213,7 +220,7 @@ TEST_P(ElasticPipelineIntake, UnorderedLossFreeUnderConcurrentScaling) {
   EXPECT_EQ(received.load(), n);
 }
 
-TEST_P(ElasticPipelineIntake, SpillReplaySurvivesConcurrentScaling) {
+TEST_P(ElasticPipelineDrain, SpillReplaySurvivesConcurrentScaling) {
   // Spill + replay + ordered reorder + live set changing — every moving
   // part of the pipeline at once, with loss-freedom as the oracle.
   StreamOptions opt = elastic_options(GetParam());
@@ -246,8 +253,6 @@ TEST_P(ElasticPipelineIntake, SpillReplaySurvivesConcurrentScaling) {
   nc::testutil::expect_ordered_identity(log.snapshot(),
                                         static_cast<std::uint64_t>(n));
 }
-
-NC_INSTANTIATE_BOTH_INTAKES(ElasticPipelineIntake);
 
 // --- controller thread (eventual assertions via spin_until) ----------------
 
@@ -342,31 +347,6 @@ TEST(ElasticController, SpillJumpsStraightToCeiling) {
   std::lock_guard<std::mutex> lock(events_mutex);
   EXPECT_NE(std::find(reasons.begin(), reasons.end(), "spill"), reasons.end())
       << "no scale event carried the spill reason";
-}
-
-// --- pinning / topology degradation ----------------------------------------
-
-TEST(ElasticPinning, PinnedCountMatchesTopologySupport) {
-  StreamOptions opt;
-  opt.n_workers = 2;
-  opt.pin_workers = true;
-  std::atomic<int> received{0};
-  IntPipeline pipeline(
-      opt, [](std::vector<int>&& in) { return std::move(in); }, nullptr,
-      [&](std::uint64_t, int&&) { received.fetch_add(1); });
-  for (int i = 0; i < 16; ++i) pipeline.submit(i);
-  const auto stats = pipeline.finish();
-  EXPECT_EQ(stats.wedges_compressed, 16);
-  const auto& topo = nc::util::system_topology();
-  if (topo.affinity_supported) {
-    EXPECT_EQ(stats.workers_pinned, 2);
-    EXPECT_EQ(pipeline.placement().size(), 2u);
-  } else {
-    // Graceful no-op (non-Linux, or the NC_TOPOLOGY=off ctest variant):
-    // nothing pinned, placement empty, pipeline fully functional.
-    EXPECT_EQ(stats.workers_pinned, 0);
-    EXPECT_TRUE(pipeline.placement().empty());
-  }
 }
 
 }  // namespace

@@ -452,6 +452,54 @@ TEST(Service, ConcurrentFinishVsInFlightSubmits) {
   }
 }
 
+TEST(Service, BurstsAfterIdleGapsReachTheSinkWithoutFinish) {
+  // Sessions stream in bursts separated by idle gaps far longer than any
+  // scheduler poll tick, so the scheduler is parked on an untimed wait
+  // whenever a burst starts.  Each burst must reach its sink on the submit's
+  // own wake-up, before finish() could flush it; a lost wake-up shows up as
+  // a burst stuck in staging, caught by the deadline instead of a hang.
+  CompressionService service(manual_options(/*n_workers=*/2));
+  const int kSessions = 3;
+  const int kBursts = 4;
+  const int kBurst = 3;
+  std::vector<SinkLog> logs(kSessions);
+  std::vector<SessionId> ids;
+  for (int s = 0; s < kSessions; ++s) {
+    ids.push_back(service.open_session(
+        session(zfp_codec(), &logs[static_cast<std::size_t>(s)])));
+  }
+  std::vector<int> bursts_delivered(kSessions, 0);
+  std::vector<std::thread> clients;
+  for (int s = 0; s < kSessions; ++s) {
+    clients.emplace_back([&, s] {
+      const auto idx = static_cast<std::size_t>(s);
+      for (int b = 0; b < kBursts; ++b) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+        for (int i = 0; i < kBurst; ++i) {
+          const auto wedge = raw_wedge(static_cast<std::size_t>(i));
+          if (service.submit(ids[idx], wedge) != SubmitResult::kAccepted) {
+            return;
+          }
+        }
+        const auto want = static_cast<std::size_t>((b + 1) * kBurst);
+        if (!spin_until([&] { return logs[idx].size() >= want; },
+                        /*max_spins=*/4000)) {
+          return;  // 20 s deadline: the burst is stranded in staging
+        }
+        bursts_delivered[idx] = b + 1;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(bursts_delivered[static_cast<std::size_t>(s)], kBursts)
+        << "session " << s << ": a burst never reached its sink";
+  }
+  const auto totals = service.finish();
+  EXPECT_EQ(totals.wedges_scheduled, kSessions * kBursts * kBurst);
+  EXPECT_EQ(totals.pipeline.wedges_failed, 0);
+}
+
 TEST(Service, ConcurrentSessionChurn) {
   // Sessions opening, streaming and closing concurrently while admission
   // ticks race them: the session map, scheduler rounds and admission passes

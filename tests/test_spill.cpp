@@ -7,9 +7,8 @@
 /// drops — never UB, silent garbage, or a hung pipeline.  (2) The lossless
 /// backpressure contract: a burst far beyond the intake bound completes
 /// with zero drops, every spilled wedge replayed, and ordered output
-/// bit-identical to an unbounded run — under both intake layers (the spill
-/// drainer races workers, producers and finish(), so this suite also runs
-/// under TSan in CI).
+/// bit-identical to an unbounded run (the spill drainer races workers,
+/// producers and finish(), so this suite also runs under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,7 +47,7 @@ using nc::testutil::raw_wedge;
 using nc::util::SerializeError;
 
 /// Fresh per-test scratch directory under the gtest temp root (unique per
-/// suite instantiation so parallel ctest runs never collide).
+/// test so parallel ctest runs never collide).
 std::string fresh_dir() {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   std::string name = std::string(info->test_suite_name()) + "-" + info->name();
@@ -323,14 +322,15 @@ TEST(SpillReader, CodecIdMatchAndUntaggedBothAccepted) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline integration: lossless backpressure under both intake layers
+// Pipeline integration: lossless backpressure
 // ---------------------------------------------------------------------------
 
-class SpillPipelineIntake : public nc::testutil::IntakeParamTest {};
+/// The spill tier's pipeline contracts, under each pool variant.
+class SpillPipelineVariant : public nc::testutil::PipelineVariantTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(SpillPipelineIntake);
+NC_INSTANTIATE_PIPELINE_VARIANTS(SpillPipelineVariant);
 
-TEST_P(SpillPipelineIntake, BurstBeyondCapacityCompletesWithoutDrops) {
+TEST_P(SpillPipelineVariant, BurstBeyondCapacityCompletesWithoutDrops) {
   // A burst of 4x the intake capacity, try_submitted back-to-back against
   // deliberately slow workers: without the spill tier most of it would
   // drop; with it the run must be lossless and, in ordered mode, emit the
@@ -375,7 +375,7 @@ TEST_P(SpillPipelineIntake, BurstBeyondCapacityCompletesWithoutDrops) {
   EXPECT_TRUE(!fs::exists(opt.spill_dir) || segment_files(opt.spill_dir).empty());
 }
 
-TEST_P(SpillPipelineIntake, DeadlineLetsWorkersCatchUpBeforeSpilling) {
+TEST_P(SpillPipelineVariant, DeadlineLetsWorkersCatchUpBeforeSpilling) {
   // With a generous spill deadline and fast workers, a burst is absorbed by
   // waiting — nothing should ever reach the disk.
   StreamOptions opt = base_options();
@@ -397,7 +397,7 @@ TEST_P(SpillPipelineIntake, DeadlineLetsWorkersCatchUpBeforeSpilling) {
   EXPECT_EQ(received.load(), n);
 }
 
-TEST_P(SpillPipelineIntake, DiskFullSurfacesAsCountedDropsNotAHang) {
+TEST_P(SpillPipelineVariant, DiskFullSurfacesAsCountedDropsNotAHang) {
   // A tiny spill quota simulates ENOSPC: the burst overflows the intake,
   // some wedges spill, the rest are *counted* drops — and the pipeline
   // still drains and finishes.
@@ -435,7 +435,7 @@ TEST_P(SpillPipelineIntake, DiskFullSurfacesAsCountedDropsNotAHang) {
                                         static_cast<std::uint64_t>(accepted));
 }
 
-TEST_P(SpillPipelineIntake, SubmitAfterFinishCountsDroppedNotSpilled) {
+TEST_P(SpillPipelineVariant, SubmitAfterFinishCountsDroppedNotSpilled) {
   // Regression: with the spill tier enabled, a submit after finish() must
   // land in wedges_dropped — not spill into a file nobody will replay.
   StreamOptions opt = base_options();
@@ -457,7 +457,7 @@ TEST_P(SpillPipelineIntake, SubmitAfterFinishCountsDroppedNotSpilled) {
   EXPECT_TRUE(!fs::exists(opt.spill_dir) || segment_files(opt.spill_dir).empty());
 }
 
-TEST_P(SpillPipelineIntake, KeptSegmentsReplayBitExactAfterClose) {
+TEST_P(SpillPipelineVariant, KeptSegmentsReplayBitExactAfterClose) {
   // spill_keep retains the segments a finished pipeline spilled; a
   // SpillReader over them must reproduce the exact spilled payloads — the
   // recovery path for a run that died before (or instead of) replaying.
@@ -499,7 +499,7 @@ TEST_P(SpillPipelineIntake, KeptSegmentsReplayBitExactAfterClose) {
 // Codec-level acceptance: ordered spilled output is bit-identical
 // ---------------------------------------------------------------------------
 
-TEST_P(SpillPipelineIntake, CompressorBurstMatchesUnboundedRunBitExact) {
+TEST_P(SpillPipelineVariant, CompressorBurstMatchesUnboundedRunBitExact) {
   // The acceptance criterion: a 4x-capacity burst through the real encoder
   // with the spill tier on yields the same ordered bitstream as a run whose
   // queue holds everything — spilling must be invisible downstream.

@@ -19,7 +19,6 @@ namespace {
 using nc::codec::BcaeCodec;
 using nc::codec::BcaeWedgeCodec;
 using nc::codec::CompressedWedge;
-using nc::codec::IntakeMode;
 using nc::codec::StreamCompressor;
 using nc::codec::StreamDecompressor;
 using nc::codec::StreamOptions;
@@ -84,20 +83,18 @@ TEST(StreamDecompressor, UnorderedSingleWorkerMatchesDirectDecompress) {
   EXPECT_EQ(stats.payload_bytes, decoded_bytes);  // fp16-accounted output volume
 }
 
-/// Multi-worker read-side contracts must hold for both intake layers (the
-/// shared queue and the sharded work-stealing intake).
-class StreamDecompressorIntake : public nc::testutil::IntakeParamTest {};
+/// The multi-worker read-side contracts, under each pool variant.
+class StreamDecompressorVariant : public nc::testutil::PipelineVariantTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(StreamDecompressorIntake);
+NC_INSTANTIATE_PIPELINE_VARIANTS(StreamDecompressorVariant);
 
-TEST_P(StreamDecompressorIntake, UnorderedFourWorkersMatchesDirectDecompress) {
+TEST_P(StreamDecompressorVariant, UnorderedFourWorkersMatchesDirectDecompress) {
   auto model = nc::bcae::make_bcae_ht(73);
   BcaeWedgeCodec codec(model, Mode::kEval);
   const int n = 16;
   const auto cws = enveloped_wedges(codec, n);
 
-  StreamOptions opt;
-  opt.intake = GetParam();
+  StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -119,14 +116,13 @@ TEST_P(StreamDecompressorIntake, UnorderedFourWorkersMatchesDirectDecompress) {
   }
 }
 
-TEST_P(StreamDecompressorIntake, OrderedFourWorkersEmitInSubmissionOrder) {
+TEST_P(StreamDecompressorVariant, OrderedFourWorkersEmitInSubmissionOrder) {
   auto model = nc::bcae::make_bcae_ht(75);
   BcaeWedgeCodec codec(model, Mode::kEval);
   const int n = 12;
   const auto cws = enveloped_wedges(codec, n);
 
-  StreamOptions opt;
-  opt.intake = GetParam();
+  StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -150,7 +146,7 @@ TEST_P(StreamDecompressorIntake, OrderedFourWorkersEmitInSubmissionOrder) {
   }
 }
 
-TEST_P(StreamDecompressorIntake, PoisonedPayloadLandsInFailedWithoutKillingWorkers) {
+TEST_P(StreamDecompressorVariant, PoisonedPayloadLandsInFailedWithoutKillingWorkers) {
   auto model = nc::bcae::make_bcae_ht(77);
   BcaeWedgeCodec codec(model, Mode::kEval);
   const int n = 10;
@@ -159,8 +155,7 @@ TEST_P(StreamDecompressorIntake, PoisonedPayloadLandsInFailedWithoutKillingWorke
   // deserialize into a CompressedWedge.
   cws[4].payload.resize(cws[4].payload.size() / 2);
 
-  StreamOptions opt;
-  opt.intake = GetParam();
+  StreamOptions opt = base_options();
   opt.queue_capacity = 16;
   opt.batch_size = 1;  // contain the failure to the poisoned wedge
   opt.n_workers = 2;
@@ -185,15 +180,14 @@ TEST_P(StreamDecompressorIntake, PoisonedPayloadLandsInFailedWithoutKillingWorke
   }
 }
 
-TEST_P(StreamDecompressorIntake, FullChainCompressSerializeDeserializeDecompress) {
+TEST_P(StreamDecompressorVariant, FullChainCompressSerializeDeserializeDecompress) {
   // The deployment path end-to-end: StreamCompressor -> byte store ->
   // StreamDecompressor, with seq numbers tying stored blobs to submissions.
   auto model = nc::bcae::make_bcae_ht(79);
   BcaeWedgeCodec codec(model, Mode::kEval);
   const int n = 8;
 
-  StreamOptions copt;
-  copt.intake = GetParam();
+  StreamOptions copt = base_options();
   copt.queue_capacity = 8;
   copt.batch_size = 2;
   copt.n_workers = 2;
@@ -213,8 +207,7 @@ TEST_P(StreamDecompressorIntake, FullChainCompressSerializeDeserializeDecompress
   EXPECT_EQ(cstats.wedges_compressed, n);
   ASSERT_EQ(storage.size(), static_cast<std::size_t>(n));
 
-  StreamOptions dopt;
-  dopt.intake = GetParam();
+  StreamOptions dopt = base_options();
   dopt.queue_capacity = 8;
   dopt.batch_size = 2;
   dopt.n_workers = 4;

@@ -1,13 +1,9 @@
 /// Generic StreamPipeline semantics, tested with synthetic transforms so the
 /// worker-pool machinery (sequencing, reorder bound, failure containment,
-/// finish) is exercised without the codec in the way.  Every suite runs
-/// twice — once per intake layer (single shared queue, sharded
-/// work-stealing) — since the pipeline contracts must hold identically for
-/// both.  StreamCompressor / StreamDecompressor are thin adapters over this
-/// class — the codec-facing behavior lives in test_codec.cpp and
-/// test_stream_decompress.cpp; sharded-intake-specific behavior (stealing,
-/// backpressure across shards) lives in test_sharded_intake.cpp; the spill
-/// tier in test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
+/// finish) is exercised without the codec in the way.  StreamCompressor /
+/// StreamDecompressor are thin adapters over this class — the codec-facing
+/// behavior lives in test_codec.cpp and test_stream_decompress.cpp; the
+/// spill tier in test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +18,6 @@
 
 namespace {
 
-using nc::codec::IntakeMode;
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
@@ -40,12 +35,12 @@ IntPipeline::BatchFn doubling(std::atomic<int>& completed) {
   };
 }
 
-/// Every pipeline contract below must hold for both intake layers.
-class StreamPipelineIntake : public nc::testutil::IntakeParamTest {};
+/// Every pipeline contract below must hold under each pool variant.
+class StreamPipelineVariant : public nc::testutil::PipelineVariantTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(StreamPipelineIntake);
+NC_INSTANTIATE_PIPELINE_VARIANTS(StreamPipelineVariant);
 
-TEST_P(StreamPipelineIntake, GenericTransformProcessesEverySubmission) {
+TEST_P(StreamPipelineVariant, GenericTransformProcessesEverySubmission) {
   StreamOptions opt = base_options();
   opt.queue_capacity = 16;
   opt.batch_size = 4;
@@ -74,19 +69,14 @@ TEST_P(StreamPipelineIntake, GenericTransformProcessesEverySubmission) {
   }
   ASSERT_EQ(stats.per_worker.size(), 3u);
   std::int64_t per_worker_sum = 0;
-  std::int64_t stolen_sum = 0;
   for (const auto& ws : stats.per_worker) {
     per_worker_sum += ws.wedges_compressed;
-    stolen_sum += ws.batches_stolen;
   }
   EXPECT_EQ(per_worker_sum, n);
-  EXPECT_EQ(stolen_sum, stats.batches_stolen);
-  if (GetParam() == IntakeMode::kSingleQueue) {
-    EXPECT_EQ(stats.batches_stolen, 0);  // one shared queue: nothing to steal
-  }
+  EXPECT_EQ(stats.batches_stolen, 0);  // one shared queue: nothing to steal
 }
 
-TEST_P(StreamPipelineIntake, OrderedModeEmitsInSubmissionOrder) {
+TEST_P(StreamPipelineVariant, OrderedModeEmitsInSubmissionOrder) {
   StreamOptions opt = base_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
@@ -108,7 +98,7 @@ TEST_P(StreamPipelineIntake, OrderedModeEmitsInSubmissionOrder) {
   }
 }
 
-TEST_P(StreamPipelineIntake, ThrowingTransformLandsInFailedAndKeepsWorkersAlive) {
+TEST_P(StreamPipelineVariant, ThrowingTransformLandsInFailedAndKeepsWorkersAlive) {
   StreamOptions opt = base_options();
   opt.queue_capacity = 16;
   opt.batch_size = 1;  // one victim per failure
@@ -140,7 +130,7 @@ TEST_P(StreamPipelineIntake, ThrowingTransformLandsInFailedAndKeepsWorkersAlive)
   }
 }
 
-TEST_P(StreamPipelineIntake, WrongSizedTransformOutputCountsAsFailure) {
+TEST_P(StreamPipelineVariant, WrongSizedTransformOutputCountsAsFailure) {
   StreamOptions opt = base_options();
   opt.batch_size = 4;
   opt.n_workers = 1;
@@ -159,7 +149,7 @@ TEST_P(StreamPipelineIntake, WrongSizedTransformOutputCountsAsFailure) {
   EXPECT_EQ(received.load(), 0);
 }
 
-TEST_P(StreamPipelineIntake, ReorderCapacityBoundsBufferWithStalledWorker) {
+TEST_P(StreamPipelineVariant, ReorderCapacityBoundsBufferWithStalledWorker) {
   // One worker stalls inside the transform while holding the next-to-emit
   // item; the other worker races ahead.  Without the bound it would buffer
   // every remaining item; with reorder_capacity it must park after filling
@@ -211,7 +201,7 @@ TEST_P(StreamPipelineIntake, ReorderCapacityBoundsBufferWithStalledWorker) {
   }
 }
 
-TEST_P(StreamPipelineIntake, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) {
+TEST_P(StreamPipelineVariant, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) {
   // Failed batches occupy reorder slots (as skips) under the same capacity
   // rule; a mix of failures and successes must still drain and finish.
   StreamOptions opt = base_options();
@@ -241,7 +231,7 @@ TEST_P(StreamPipelineIntake, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) 
   }
 }
 
-TEST_P(StreamPipelineIntake, FinishIdempotentWithGenericTransform) {
+TEST_P(StreamPipelineVariant, FinishIdempotentWithGenericTransform) {
   StreamOptions opt = base_options();
   opt.batch_size = 2;
   std::atomic<int> completed{0};
@@ -259,27 +249,10 @@ TEST_P(StreamPipelineIntake, FinishIdempotentWithGenericTransform) {
   EXPECT_EQ(pipeline.finish().wedges_dropped, 2);
 }
 
-TEST(StreamPipeline, AutoIntakeResolvesByWorkerCount) {
-  std::atomic<int> completed{0};
-  StreamOptions opt;  // kAuto
-  opt.n_workers = 1;
-  IntPipeline single(opt, doubling(completed), nullptr,
-                     [](std::uint64_t, int&&) {});
-  EXPECT_EQ(single.options().intake, IntakeMode::kSingleQueue);
-  (void)single.finish();
-  opt.n_workers = 4;
-  IntPipeline sharded(opt, doubling(completed), nullptr,
-                      [](std::uint64_t, int&&) {});
-  EXPECT_EQ(sharded.options().intake, IntakeMode::kSharded);
-  EXPECT_EQ(sharded.options().n_shards, 4u);
-  (void)sharded.finish();
-}
-
 TEST(StreamPipeline, AdaptiveBatchingGrowsWithBacklog) {
   // With a deep backlog a worker's drain grows to batch_size; a released
   // stall guarantees the backlog exists when the worker resumes popping.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
   opt.queue_capacity = 64;
   opt.batch_size = 8;
   opt.n_workers = 1;
@@ -311,6 +284,87 @@ TEST(StreamPipeline, AdaptiveBatchingGrowsWithBacklog) {
   // The backlog was 32 deep with one worker: adaptive sizing must have
   // reached the full batch_size at least once.
   EXPECT_EQ(max_batch, opt.batch_size);
+}
+
+TEST_P(StreamPipelineVariant, StalledWorkerStrandsNoItem) {
+  // One worker stalls inside the transform; the free worker must drain the
+  // whole backlog around it, so every item except the one in the stalled
+  // worker's hands completes while it sleeps.
+  StreamOptions opt = base_options();
+  opt.queue_capacity = 64;
+  opt.batch_size = 1;
+  opt.n_workers = 2;
+
+  StallLatch stall;
+  std::atomic<int> completed{0};
+  IntPipeline pipeline(
+      opt,
+      [&](std::vector<int>&& in) {
+        if (in.front() == 0) stall.wait();
+        completed.fetch_add(static_cast<int>(in.size()));
+        return std::move(in);
+      },
+      nullptr, [](std::uint64_t, int&&) {});
+
+  const int n = 16;
+  for (int i = 0; i < n; ++i) pipeline.submit(i);
+  EXPECT_TRUE(spin_until([&] { return completed.load() >= n - 1; }));
+  EXPECT_EQ(completed.load(), n - 1);
+
+  stall.release();
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(stats.wedges_failed, 0);
+}
+
+TEST_P(StreamPipelineVariant, FinishDeliversEverythingQueuedAtClose) {
+  // finish() must not return while the intake still holds accepted items.
+  StreamOptions opt = base_options();
+  opt.queue_capacity = 128;
+  opt.batch_size = 4;
+  opt.n_workers = 4;
+  std::atomic<int> received{0};
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t, int&&) { received.fetch_add(1); });
+  const int n = 100;
+  for (int i = 0; i < n; ++i) pipeline.submit(i);
+  const auto stats = pipeline.finish();  // close + drain: no stragglers
+  EXPECT_EQ(stats.wedges_in, n);
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(received.load(), n);
+}
+
+TEST_P(StreamPipelineVariant, OrderedBoundedReorderUnderFourWorkersEmitsIdentity) {
+  // Ordered-mode progress under contention: a tight reorder bound, uneven
+  // per-item latency and more workers than buffer slots.  The run must
+  // drain, stay in order and count every item.
+  StreamOptions opt = base_options();
+  opt.queue_capacity = 64;
+  opt.batch_size = 2;
+  opt.n_workers = 4;
+  opt.ordered = true;
+  opt.reorder_capacity = 2;
+  std::vector<std::uint64_t> seqs;
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        // Deterministic jitter: some batches take 30x longer than others.
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(50 + (in.front() % 7) * 450));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t seq, int&&) { seqs.push_back(seq); });
+  const int n = 200;
+  for (int i = 0; i < n; ++i) pipeline.submit(i);
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(stats.wedges_failed, 0);
+  nc::testutil::expect_ordered_identity(seqs, n);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 #include "util/serialize.hpp"
 #include "util/timer.hpp"
 
@@ -84,6 +85,10 @@ TEST(Cli, UnknownFlagRejected) {
 TEST(Cli, UnregisteredGetThrows) {
   nc::util::ArgParser p("prog", "test");
   EXPECT_THROW(p.get("nope"), std::invalid_argument);
+}
+
+TEST(Parallel, HardwareThreadsIsPositive) {
+  EXPECT_GE(nc::util::hardware_threads(), 1u);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
