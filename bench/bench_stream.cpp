@@ -11,18 +11,10 @@
 /// (wedges_dropped == 0, every spilled wedge replayed) measured rather than
 /// assumed, with the spilled/replayed counts in the JSON trailer.
 ///
-/// An elastic-vs-static comparison closes the run: the same bursty profile
-/// (quiet trickle -> flood -> quiet trickle) through a static max-size pool
-/// and an elastic pool (min 1, same ceiling), reporting burst drain
-/// throughput, scale events and quiet-phase live workers — the elastic
-/// pool's pitch is matching the static pool's burst throughput at strictly
-/// fewer live workers when the detector is quiet.
-///
 /// The final stdout line is a single machine-readable JSON document
-/// (wedges/s per worker count, both directions, plus the burst and elastic
-/// rows) so perf trajectories can be tracked across commits by
-/// scraping `grep '^{'` from the output — CI uploads it as the
-/// BENCH_stream.json artifact.
+/// (wedges/s per worker count, both directions, plus the burst row) so perf
+/// trajectories can be tracked across commits by scraping `grep '^{'` from
+/// the output — CI uploads it as the BENCH_stream.json artifact.
 ///
 /// Run:  ./bench_stream [--wedges 64] [--batch 4] [--max-workers 0]
 ///       (--max-workers 0 = sweep up to hardware_concurrency, min 4)
@@ -32,7 +24,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "codec/stream.hpp"
@@ -54,27 +45,6 @@ struct SweepPoint {
 void print_point(const SweepPoint& p) {
   std::printf("  %-8zu %12.3f %12.1f %9.2fx %10.2f\n", p.workers, p.wall_s,
               p.wps, p.speedup, p.cpu_per_wall);
-}
-
-struct ElasticPoint {
-  const char* mode = "";
-  double burst_s = 0.0;     ///< burst submit -> last burst wedge sunk
-  double burst_wps = 0.0;
-  long long up = 0;         ///< scale-up events
-  long long down = 0;       ///< scale-down events
-  double avg_live = 0.0;    ///< time-weighted mean live workers (whole run)
-  double quiet_live = 0.0;  ///< mean live workers sampled in quiet phases
-};
-
-std::string json_elastic(const ElasticPoint& p) {
-  char buf[224];
-  std::snprintf(buf, sizeof(buf),
-                "{\"mode\":\"%s\",\"burst_s\":%.4f,\"burst_wps\":%.2f,"
-                "\"scale_up\":%lld,\"scale_down\":%lld,\"avg_live\":%.2f,"
-                "\"quiet_live\":%.2f}",
-                p.mode, p.burst_s, p.burst_wps, p.up, p.down, p.avg_live,
-                p.quiet_live);
-  return buf;
 }
 
 struct BurstPoint {
@@ -150,9 +120,9 @@ int main(int argc, char** argv) {
   util::set_num_threads(1);
 
   const unsigned hw = static_cast<unsigned>(util::hardware_threads());
-  std::size_t max_workers = static_cast<std::size_t>(
+  std::size_t sweep_ceiling = static_cast<std::size_t>(
       std::max<std::int64_t>(0, args.get_int("max-workers")));
-  if (max_workers == 0) max_workers = std::max(4u, hw);
+  if (sweep_ceiling == 0) sweep_ceiling = std::max(4u, hw);
   const std::int64_t n_wedges = std::max<std::int64_t>(1, args.get_int("wedges"));
   const std::size_t batch =
       static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("batch")));
@@ -163,8 +133,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(batch), hw);
 
   std::vector<std::size_t> sweep;
-  for (std::size_t w = 1; w <= max_workers; w *= 2) sweep.push_back(w);
-  if (sweep.back() != max_workers) sweep.push_back(max_workers);
+  for (std::size_t w = 1; w <= sweep_ceiling; w *= 2) sweep.push_back(w);
+  if (sweep.back() != sweep_ceiling) sweep.push_back(sweep_ceiling);
 
   // One run of either direction at a given worker count; returns the
   // pipeline stats for the derived columns.  The speedup column is relative
@@ -238,7 +208,7 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() /
       ("bench_stream_spill_" +
        std::to_string(std::chrono::steady_clock::now().time_since_epoch().count()));
-  const std::size_t burst_workers = std::min<std::size_t>(4, max_workers);
+  const std::size_t burst_workers = std::min<std::size_t>(4, sweep_ceiling);
   const auto run_burst = [&] {
     codec::StreamOptions opt;
     opt.queue_capacity = 16;
@@ -290,96 +260,6 @@ int main(int argc, char** argv) {
   std::error_code cleanup_ec;
   std::filesystem::remove_all(spill_root, cleanup_ec);
 
-  // Elastic vs static under a bursty profile: quiet trickle -> flood ->
-  // quiet trickle.  The elastic claim is two-sided: burst drain time within
-  // noise of the static pool (scale-up is a condvar notify, microseconds)
-  // while the quiet phases run strictly fewer live workers.  Loss is the
-  // only hard error; the throughput comparison is printed and left to the
-  // reader / trend tracking (CI machines are too noisy for a ±10% gate).
-  const std::size_t elastic_pool = std::min<std::size_t>(4, max_workers);
-  const auto run_elastic = [&](bool elastic) {
-    codec::StreamOptions opt;
-    opt.queue_capacity = 16;
-    opt.batch_size = batch;
-    if (elastic) {
-      opt.elastic = true;
-      opt.min_workers = 1;
-      opt.max_workers = elastic_pool;
-      opt.n_workers = 1;
-      opt.scale_interval_s = 0.001;  // fast ticks: the run is ~100 ms
-      opt.scale_window = 4;
-      opt.scale_cooldown = 2;
-    } else {
-      opt.n_workers = elastic_pool;
-    }
-    const long long n_quiet = 16;
-    const long long n_burst = 8 * static_cast<long long>(opt.queue_capacity);
-    std::atomic<long long> sunk{0};
-    codec::StreamCompressor stream(
-        wedge_codec, opt, [&sunk](codec::WedgeEnvelope&&) {
-          sunk.fetch_add(1, std::memory_order_relaxed);
-        });
-    double quiet_live_sum = 0.0;
-    long long quiet_samples = 0;
-    const auto quiet_phase = [&] {
-      for (long long i = 0; i < n_quiet; ++i) {
-        stream.submit(wedges[static_cast<std::size_t>(i) % wedges.size()]);
-        quiet_live_sum += static_cast<double>(stream.live_workers());
-        ++quiet_samples;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    };
-    quiet_phase();
-    // Burst: flood, then spin until the sink has swallowed everything —
-    // that drain time is the scale-up-latency-inclusive number under test.
-    util::Timer burst_wall;
-    for (long long i = 0; i < n_burst; ++i) {
-      stream.submit(wedges[static_cast<std::size_t>(i) % wedges.size()]);
-    }
-    while (sunk.load(std::memory_order_relaxed) < n_quiet + n_burst) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    const double burst_s = burst_wall.elapsed_s();
-    quiet_phase();
-    const codec::StreamStats stats = stream.finish();
-    ElasticPoint p;
-    p.mode = elastic ? "elastic" : "static";
-    p.burst_s = burst_s;
-    p.burst_wps =
-        burst_s > 0 ? static_cast<double>(n_burst) / burst_s : 0.0;
-    p.up = static_cast<long long>(stats.scale_up_events);
-    p.down = static_cast<long long>(stats.scale_down_events);
-    p.avg_live = stats.avg_live_workers;
-    p.quiet_live =
-        quiet_samples > 0 ? quiet_live_sum / static_cast<double>(quiet_samples)
-                          : 0.0;
-    std::printf("  %-8s %12.3f %12.1f %9lld %9lld %9.2f %11.2f\n", p.mode,
-                p.burst_s, p.burst_wps, p.up, p.down, p.avg_live,
-                p.quiet_live);
-    const long long total = 2 * n_quiet + n_burst;
-    if (stats.wedges_compressed != total || stats.wedges_dropped != 0) {
-      std::fprintf(stderr,
-                   "ERROR: %s bursty run lost wedges (%lld of %lld, "
-                   "%lld dropped)\n",
-                   p.mode, static_cast<long long>(stats.wedges_compressed),
-                   total, static_cast<long long>(stats.wedges_dropped));
-      std::exit(1);
-    }
-    return p;
-  };
-  std::printf("\nelastic vs static (quiet/burst/quiet, pool %zu):\n",
-              elastic_pool);
-  std::printf("  %-8s %12s %12s %9s %9s %9s %11s\n", "mode", "burst [s]",
-              "burst wps", "scale-up", "scale-dn", "avg live", "quiet live");
-  const ElasticPoint el_static = run_elastic(false);
-  const ElasticPoint el_elastic = run_elastic(true);
-  if (el_static.burst_wps > 0) {
-    std::printf("  elastic burst throughput: %.0f%% of static, quiet-phase "
-                "live workers %.2f vs %.2f\n",
-                100.0 * el_elastic.burst_wps / el_static.burst_wps,
-                el_elastic.quiet_live, el_static.quiet_live);
-  }
-
   if (hw < 4) {
     std::printf("\nnote: only %u hardware thread(s) visible — worker scaling "
                 "needs >= 4 cores to show the expected >1.5x at 4 workers.\n",
@@ -389,13 +269,10 @@ int main(int argc, char** argv) {
   // Machine-readable trailer (single line, greppable with '^{').
   std::printf("\n{\"bench\":\"stream\",\"wedges\":%lld,\"batch\":%lld,"
               "\"hardware_threads\":%u,"
-              "\"compress\":%s,\"decompress\":%s,\"burst\":%s,"
-              "\"elastic\":{\"static\":%s,\"elastic\":%s}}\n",
+              "\"compress\":%s,\"decompress\":%s,\"burst\":%s}\n",
               static_cast<long long>(n_wedges), static_cast<long long>(batch),
               hw, json_points(compress_points).c_str(),
               json_points(decompress_points).c_str(),
-              json_burst(burst).c_str(),
-              json_elastic(el_static).c_str(),
-              json_elastic(el_elastic).c_str());
+              json_burst(burst).c_str());
   return 0;
 }

@@ -28,15 +28,9 @@
 /// learning-free baselines — the multi-backend story behind the
 /// rate--distortion arena (bench_rd).
 ///
-/// Elastic pool: `--workers 0` autoscales the live worker count between
-/// `--min-workers` and `--max-workers` (default: every hardware thread) from
-/// observed load.  The scaling history (events, hwm/lwm, time-weighted
-/// average live workers) joins the exit summary.
-///
 /// Run:  ./streaming_daq [--rate 200] [--seconds 5] [--batch 16]
 ///                       [--workers 1] [--producers 1] [--ordered]
 ///                       [--codec bcae-fp16] [--spill-dir DIR]
-///                       [--workers 0 [--min-workers N] [--max-workers N]]
 ///       ./streaming_daq --roundtrip [--wedges 16] [--batch 4] [--workers 2]
 #include <algorithm>
 #include <atomic>
@@ -56,22 +50,8 @@
 #include "metrics/metrics.hpp"
 #include "tpc/dataset.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 
 namespace {
-
-/// Elastic scaling history (skipped for static pools: nothing moved).
-void print_scaling(const char* label, const nc::codec::StreamStats& stats,
-                   const nc::codec::StreamOptions& options) {
-  if (!options.elastic) return;
-  std::printf("  %s: %lld up / %lld down scale events, live workers "
-              "%lld..%lld (avg %.2f)\n",
-              label, static_cast<long long>(stats.scale_up_events),
-              static_cast<long long>(stats.scale_down_events),
-              static_cast<long long>(stats.workers_lwm),
-              static_cast<long long>(stats.workers_hwm),
-              stats.avg_live_workers);
-}
 
 void print_stream_stats(const char* label, const nc::codec::StreamStats& stats) {
   std::printf("  %s: %lld wedges at %.1f wedges/s (%.2f busy-cores avg, "
@@ -157,9 +137,7 @@ int run_roundtrip(const nc::codec::WedgeCodec& wedge_codec,
               options.n_workers, options.batch_size,
               options.ordered ? ", ordered" : "");
   print_stream_stats("compress  ", cstats);
-  print_scaling("scale(enc) ", cstats, options);
   print_stream_stats("decompress", dstats);
-  print_scaling("scale(dec) ", dstats, options);
   std::printf("  storage:    %lld -> %lld bytes (%.2fx reduction, headers "
               "included)\n",
               static_cast<long long>(raw_bytes),
@@ -191,13 +169,7 @@ int main(int argc, char** argv) {
   args.add_option("seconds", "5", "stream duration");
   args.add_option("batch", "16", "codec batch size");
   args.add_option("queue", "64", "input queue capacity (backpressure bound)");
-  args.add_option("workers", "1",
-                  "codec worker threads (0 = elastic: autoscale between "
-                  "--min-workers and --max-workers from observed load)");
-  args.add_option("min-workers", "1", "elastic mode: live worker floor");
-  args.add_option("max-workers", "0",
-                  "elastic mode: live worker ceiling (0 = all hardware "
-                  "threads)");
+  args.add_option("workers", "1", "codec worker threads");
   args.add_option("producers", "1", "front-end producer threads");
   args.add_option("wedges", "16", "roundtrip mode: wedges through the chain");
   args.add_option("codec", "bcae-fp16",
@@ -228,40 +200,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::int64_t workers_flag = args.get_int("workers");
-  if (workers_flag < 0) {
-    std::fprintf(stderr,
-                 "error: --workers must be >= 0 (0 = elastic; got %lld)\n",
+  if (workers_flag <= 0) {
+    std::fprintf(stderr, "error: --workers must be positive (got %lld)\n",
                  static_cast<long long>(workers_flag));
     return 1;
-  }
-  const std::int64_t min_workers_flag = args.get_int("min-workers");
-  const std::int64_t max_workers_flag = args.get_int("max-workers");
-  if (workers_flag == 0) {
-    if (min_workers_flag <= 0) {
-      std::fprintf(stderr, "error: --min-workers must be positive (got %lld)\n",
-                   static_cast<long long>(min_workers_flag));
-      return 1;
-    }
-    // An explicit ceiling of 0 with an elastic pool is a pool with no
-    // workers, not "use the default" — refuse rather than guess.
-    if (max_workers_flag <= 0 && args.was_set("max-workers")) {
-      std::fprintf(stderr,
-                   "error: --workers 0 (elastic) needs a positive "
-                   "--max-workers (got %lld)\n",
-                   static_cast<long long>(max_workers_flag));
-      return 1;
-    }
-    const std::int64_t ceiling =
-        max_workers_flag > 0
-            ? max_workers_flag
-            : static_cast<std::int64_t>(util::hardware_threads());
-    if (min_workers_flag > ceiling) {
-      std::fprintf(stderr,
-                   "error: --min-workers %lld exceeds --max-workers %lld\n",
-                   static_cast<long long>(min_workers_flag),
-                   static_cast<long long>(ceiling));
-      return 1;
-    }
   }
 
   // Stage the detector data (in a real DAQ these arrive over fibre).
@@ -306,18 +248,7 @@ int main(int argc, char** argv) {
   codec::StreamOptions options;
   options.queue_capacity = static_cast<std::size_t>(queue_flag);
   options.batch_size = static_cast<std::size_t>(batch_flag);
-  if (workers_flag == 0) {
-    // Elastic mode: start at the floor, let the controller grow the live
-    // set toward the ceiling as the offered rate demands.
-    options.elastic = true;
-    options.min_workers = static_cast<std::size_t>(min_workers_flag);
-    options.max_workers = max_workers_flag > 0
-                              ? static_cast<std::size_t>(max_workers_flag)
-                              : util::hardware_threads();
-    options.n_workers = options.min_workers;
-  } else {
-    options.n_workers = static_cast<std::size_t>(workers_flag);
-  }
+  options.n_workers = static_cast<std::size_t>(workers_flag);
   options.ordered = args.get_bool("ordered");
   options.spill_dir = args.get("spill-dir");
 
@@ -359,15 +290,10 @@ int main(int argc, char** argv) {
   const auto stats = stream.finish();
   const std::int64_t raw_bytes = stats.wedges_compressed *
                                  wedges.front().numel() * 2;  // fp16 accounting
-  const std::string workers_desc =
-      options.elastic
-          ? "elastic " + std::to_string(options.min_workers) + ".." +
-                std::to_string(options.max_workers) + " worker(s)"
-          : std::to_string(options.n_workers) + " worker(s)";
   std::printf("\nstream summary (%.1f s at %.0f wedges/s offered, codec %s, "
-              "%d producer(s), %s%s):\n",
+              "%d producer(s), %zu worker(s)%s):\n",
               duration, rate, wedge_codec->name().c_str(), n_producers,
-              workers_desc.c_str(), options.ordered ? ", ordered sink" : "");
+              options.n_workers, options.ordered ? ", ordered sink" : "");
   std::printf("  offered:     %lld wedges\n",
               static_cast<long long>(offered.load()));
   std::printf("  accepted:    %lld\n", static_cast<long long>(stats.wedges_in));
@@ -398,7 +324,6 @@ int main(int argc, char** argv) {
   std::printf("  intake:      depth high-water %lld of %lld\n",
               static_cast<long long>(stats.queue_depth_hwm),
               static_cast<long long>(stats.queue_capacity));
-  print_scaling("scaling    ", stats, options);
   for (std::size_t w = 0; w < stats.per_worker.size(); ++w) {
     const auto& ws = stats.per_worker[w];
     std::printf("  worker %zu:    %lld wedges in %lld batches, %.2fs active\n",

@@ -10,10 +10,10 @@
 /// start shedding that session's wedges — predictable, counted, early
 /// per-session drops instead of unbounded disk growth.
 ///
-/// Like codec/autoscale.hpp, the policy is a pure sample-in / decision-out
-/// state machine with no clocks, threads or sleeps — one `observe()` call is
-/// one tick — so unit tests drive it with injected depth/spill samples and
-/// assert exact decision sequences (tests/test_admission.cpp).  The service
+/// The policy is a pure sample-in / decision-out state machine with no
+/// clocks, threads or sleeps — one `observe()` call is one tick — so unit
+/// tests drive it with injected depth/spill samples and assert exact
+/// decision sequences (tests/test_admission.cpp).  The service
 /// owns one controller per session and is the thin impure driver that
 /// samples real staging-queue depths every `admission_interval_s` and
 /// applies the returned decisions.
@@ -42,9 +42,9 @@
 ///   windows ─────────────────────────────────────▶ kRecover (climb one
 ///                                                   rung back; 0 = never)
 ///
-/// Hysteresis mirrors the autoscaler: after any non-hold decision the
-/// controller holds for `cooldown` ticks (samples during the hold are
-/// discarded) and every windowed decision needs a full fresh `window`.
+/// Hysteresis: after any non-hold decision the controller holds for
+/// `cooldown` ticks (samples during the hold are discarded) and every
+/// windowed decision needs a full fresh `window`.
 /// Shed is strictly last: kShed can only fire with `rungs_left == 0`, so a
 /// session with any ladder headroom is always degraded before a single
 /// wedge is dropped.

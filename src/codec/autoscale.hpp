@@ -1,14 +1,14 @@
 /// \file autoscale.hpp
-/// \brief Deterministic worker-count autoscaling policy for the elastic
-///        StreamPipeline pool.
+/// \brief Deterministic worker-count autoscaling policy.
 ///
-/// The policy is deliberately split from the pipeline's controller thread:
 /// `AutoscaleController` is a pure sample-in / target-out state machine
 /// with no clocks, threads or sleeps — one `observe()` call is one tick —
 /// so unit tests drive it with injected depth/busy/spill samples and assert
-/// exact decision sequences (tests/test_autoscale.cpp).  The pipeline's
-/// controller thread is the thin impure driver that samples real counters
-/// every `StreamOptions::scale_interval_s` and applies the returned target.
+/// exact decision sequences (tests/test_autoscale.cpp).
+///
+/// Nothing in the library drives it any more: `StreamPipeline` runs a
+/// fixed pool of exactly `n_workers` threads.  ROADMAP.md lists this header
+/// and its tests for deletion.
 ///
 /// Decision shape (per tick):
 ///
@@ -36,11 +36,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 
 namespace nc::codec {
 
-/// Autoscaler tuning (a subset surfaces as StreamOptions scale_* knobs).
+/// Autoscaler tuning.
 struct AutoscaleConfig {
   std::size_t min_workers = 1;  ///< floor the pool spins down to on a trickle
   std::size_t max_workers = 1;  ///< ceiling (the pool's thread count)
@@ -59,17 +58,6 @@ struct AutoscaleSample {
   double busy_fraction = 0.0;   ///< busy workers / live workers, [0, 1]
   bool spilling = false;        ///< spill tier grew (or holds a backlog) since last tick
 };
-
-/// A scaling decision, as surfaced to the StreamOptions::on_scale_event
-/// observability hook.
-struct ScaleEvent {
-  double t_s = 0.0;        ///< seconds since pipeline construction
-  std::size_t from = 0;    ///< live worker target before the decision
-  std::size_t to = 0;      ///< live worker target after the decision
-  const char* reason = ""; ///< "spill" | "backlog" | "quiet" | "manual"
-};
-
-using ScaleEventHook = std::function<void(const ScaleEvent&)>;
 
 /// Deterministic autoscaling state machine (see file comment).
 class AutoscaleController {

@@ -75,18 +75,6 @@ class BoundedQueue {
     return try_push(std::move(copy));
   }
 
-  /// Blocking enqueue; false only when the queue is closed.
-  bool push(T item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_space_.wait(lock, [&] { return closed_ || queue_.size() < capacity_; });
-    if (closed_) return false;
-    queue_.push_back(std::move(item));
-    if (queue_.size() > high_water_) high_water_ = queue_.size();
-    depth_.store(queue_.size(), std::memory_order_relaxed);
-    cv_.notify_one();
-    return true;
-  }
-
   /// Blocking dequeue; false when the queue is closed and drained.
   bool pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -1,6 +1,6 @@
 /// \file service.hpp
 /// \brief Multi-stream compression service: many client sessions multiplexed
-///        over one shared elastic StreamPipeline and one set of model
+///        over one shared fixed-size StreamPipeline and one set of model
 ///        weights.
 ///
 /// Everything below this layer is "a pipeline": one intake, one global
@@ -44,8 +44,8 @@
 ///    never corrupts in-flight work.  Each emitted envelope carries its
 ///    codec id, so mixed-rung streams decode normally.
 ///  * The shared pipeline runs unordered (the service owns ordering);
-///    `ServiceOptions::pipeline.ordered` is ignored.  The spill tier and
-///    elastic pool compose unchanged.  One caveat: a spill record whose
+///    `ServiceOptions::pipeline.ordered` is ignored.  The spill tier
+///    composes unchanged.  One caveat: a spill record whose
 ///    CRC fails on replay (physical disk corruption while running) loses
 ///    that wedge at the pipeline layer without a per-session notification,
 ///    which would stall that one session's close_session() drain — every
@@ -112,8 +112,8 @@ struct SessionStats {
 
 /// Service-wide configuration.
 struct ServiceOptions {
-  /// Shared worker-pool configuration (workers, intake, batch, spill tier,
-  /// elastic autoscaling).  `ordered` is forced off — ordering is
+  /// Shared worker-pool configuration (workers, intake, batch, spill
+  /// tier).  `ordered` is forced off — ordering is
   /// per-session, owned by the service.
   StreamOptions pipeline;
   /// Deficit-round-robin quantum: wedges one session may move into the

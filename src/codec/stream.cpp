@@ -109,21 +109,6 @@ StreamCompressor::StreamCompressor(const WedgeCodec& codec,
                          s(std::move(env));
                        })) {}
 
-StreamCompressor::StreamCompressor(const WedgeCodec& codec,
-                                   std::size_t queue_capacity,
-                                   std::size_t batch_size, Sink sink)
-    : StreamCompressor(
-          codec,
-          [&] {
-            // Legacy single-worker shape.
-            StreamOptions opt;
-            opt.queue_capacity = queue_capacity;
-            opt.batch_size = batch_size;
-            opt.n_workers = 1;
-            return opt;
-          }(),
-          std::move(sink)) {}
-
 StreamDecompressor::StreamDecompressor(const WedgeCodec& codec,
                                        const StreamOptions& options,
                                        SeqSink sink)

@@ -48,9 +48,6 @@ class StreamCompressor {
                    SeqSink sink);
   StreamCompressor(const WedgeCodec& codec, const StreamOptions& options,
                    Sink sink);
-  /// Legacy single-worker construction (unordered).
-  StreamCompressor(const WedgeCodec& codec, std::size_t queue_capacity,
-                   std::size_t batch_size, Sink sink);
 
   StreamCompressor(const StreamCompressor&) = delete;
   StreamCompressor& operator=(const StreamCompressor&) = delete;
@@ -66,13 +63,6 @@ class StreamCompressor {
   StreamStats finish() { return pipeline_.finish(); }
 
   const StreamOptions& options() const { return pipeline_.options(); }
-
-  /// Elastic pool passthroughs (see StreamPipeline): manual/observed live
-  /// worker count.
-  std::size_t set_live_workers(std::size_t n, const char* reason = "manual") {
-    return pipeline_.set_live_workers(n, reason);
-  }
-  std::size_t live_workers() const { return pipeline_.live_workers(); }
 
  private:
   StreamPipeline<core::Tensor, WedgeEnvelope> pipeline_;
@@ -115,12 +105,6 @@ class StreamDecompressor {
   StreamStats finish() { return pipeline_.finish(); }
 
   const StreamOptions& options() const { return pipeline_.options(); }
-
-  /// Elastic pool passthroughs (see StreamPipeline).
-  std::size_t set_live_workers(std::size_t n, const char* reason = "manual") {
-    return pipeline_.set_live_workers(n, reason);
-  }
-  std::size_t live_workers() const { return pipeline_.live_workers(); }
 
  private:
   StreamPipeline<WedgeEnvelope, core::Tensor> pipeline_;

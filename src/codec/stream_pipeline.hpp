@@ -62,18 +62,10 @@
 ///    minimum, and the gate escape keeps a bounded buffer live while the
 ///    next-to-emit item is still on disk), at the cost of reorder-buffer
 ///    overshoot proportional to the spilled backlog in the worst case.
-///  * Elastic pool (`StreamOptions::elastic`, off by default): the pipeline
-///    spawns `max_workers` threads up front and varies how many are *live*
-///    between `min_workers` and `max_workers` — surplus workers park on a
-///    condvar between batches, so scale-up is a notify (microseconds), not
-///    a thread spawn.  A controller thread (autoscale.hpp holds the pure
-///    decision policy) samples intake depth, busy fraction and spill
-///    activity every `scale_interval_s`; `scale_interval_s == 0` is manual
-///    mode, driven by `set_live_workers()`.  Parked workers leave the
-///    ordered gate's `workers_alive_` count (the same protocol as worker
-///    exit), so the gate escape and the spill drainer stay correct while
-///    the live set changes.  Workers are never pinned to cores: the OS
-///    scheduler places them.
+///  * Fixed pool: the pipeline runs exactly `n_workers` threads for its
+///    whole life.  A worker with nothing to do sleeps in the intake's
+///    condvar wait and costs no CPU, so there is no scaling to do.  Workers
+///    are never pinned to cores: the OS scheduler places them.
 ///  * `finish()` is idempotent (atomic exchange) and safe to call from any
 ///    thread, including implicitly via the destructor after an explicit
 ///    `finish()`.
@@ -98,7 +90,6 @@
 #include <thread>
 #include <vector>
 
-#include "codec/autoscale.hpp"
 #include "codec/intake.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
@@ -147,28 +138,6 @@ struct StreamOptions {
   /// of failing per-wedge downstream.  StreamCompressor/StreamDecompressor
   /// fill this from their codec automatically.
   std::uint32_t spill_codec_id = 0;
-
-  // --- Elastic pool (autoscale.hpp) ---
-  /// Autoscale the live worker count in [min_workers, max_workers] from
-  /// observed load.  The pipeline spawns max_workers threads up front and
-  /// parks surplus ones on a condvar (scale-up is a notify, not a thread
-  /// spawn); n_workers becomes the *initial* live count.  Off (default):
-  /// the pool is the static n_workers it always was.
-  bool elastic = false;
-  std::size_t min_workers = 0;  ///< elastic floor (0 = 1)
-  std::size_t max_workers = 0;  ///< elastic ceiling / pool size (0 = n_workers)
-  /// Controller sampling period.  0 with elastic = manual mode: no
-  /// controller thread runs and scaling is driven via set_live_workers()
-  /// (deterministic tests, external controllers).
-  double scale_interval_s = 0.02;
-  std::size_t scale_window = 8;    ///< samples per scaling decision
-  std::size_t scale_cooldown = 4;  ///< hold ticks after a decision (hysteresis)
-  double scale_up_depth = 0.5;     ///< avg depth fraction triggering scale-up
-  double scale_down_busy = 0.25;   ///< avg busy fraction allowing scale-down
-  /// Observability: invoked once per scaling decision (from the controller
-  /// thread, or the set_live_workers caller).  Must not call back into
-  /// finish().
-  ScaleEventHook on_scale_event;
 };
 
 /// Per-worker accounting, reported in StreamStats::per_worker.  The counter
@@ -200,16 +169,6 @@ struct StreamStats {
   std::int64_t queue_capacity = 0;
   double elapsed_s = 0.0;  ///< wall time with >=1 worker busy (parallel active time)
   double cpu_s = 0.0;      ///< summed per-worker active time
-  // Elastic pool: scaling decisions as first-class observability.  In a
-  // static pool hwm == lwm == n_workers, events are 0 and avg is exact.
-  std::int64_t scale_up_events = 0;    ///< live target raised (incl. spill jumps)
-  std::int64_t scale_down_events = 0;  ///< live target lowered
-  std::int64_t workers_hwm = 0;        ///< highest live worker target reached
-  std::int64_t workers_lwm = 0;        ///< lowest live worker target reached
-  /// Time-weighted mean of the live worker target over the pipeline's
-  /// lifetime (construction to finish) — the quiet-phase CPU saving, as a
-  /// number.
-  double avg_live_workers = 0.0;
   std::vector<WorkerStats> per_worker;
 
   double throughput_wps() const {
@@ -224,19 +183,6 @@ inline StreamOptions normalized_stream_options(StreamOptions options) {
   if (options.queue_capacity == 0) options.queue_capacity = 1;
   if (options.batch_size == 0) options.batch_size = 1;
   if (options.n_workers == 0) options.n_workers = 1;
-  if (options.elastic) {
-    if (options.max_workers == 0) options.max_workers = options.n_workers;
-    if (options.min_workers == 0) options.min_workers = 1;
-    options.min_workers = std::min(options.min_workers, options.max_workers);
-    // n_workers is the initial live count, inside the elastic range.
-    options.n_workers = std::clamp(options.n_workers, options.min_workers,
-                                   options.max_workers);
-  } else {
-    // Static pool: the range collapses to a point so every consumer of
-    // min/max (pool sizing, clamps, stats) reads one consistent story.
-    options.min_workers = options.n_workers;
-    options.max_workers = options.n_workers;
-  }
   return options;
 }
 }  // namespace detail
@@ -278,7 +224,7 @@ class StreamPipeline {
         sink_(std::move(sink)),
         spill_codec_(std::move(spill_codec)),
         intake_(options_.queue_capacity),
-        workers_alive_(options_.max_workers) {
+        workers_alive_(options_.n_workers) {
     // Stand the spill tier up before any thread exists: a SpillLog failure
     // (unwritable dir) must abort construction cleanly, not orphan workers.
     if (!options_.spill_dir.empty()) {
@@ -298,16 +244,10 @@ class StreamPipeline {
               : intake_.capacity() / 2;
       drainer_ = std::thread([this] { drainer_loop(); });
     }
-    // The pool is always max_workers threads; elasticity is which of them
-    // are live (the rest park on scale_cv_).  A static pool has
-    // max_workers == n_workers, so nothing changes for it.
-    worker_stats_.resize(options_.max_workers);
-    workers_.reserve(options_.max_workers);
-    for (std::size_t w = 0; w < options_.max_workers; ++w) {
+    worker_stats_.resize(options_.n_workers);
+    workers_.reserve(options_.n_workers);
+    for (std::size_t w = 0; w < options_.n_workers; ++w) {
       workers_.emplace_back([this, w] { worker_loop(w); });
-    }
-    if (options_.elastic && options_.scale_interval_s > 0) {
-      controller_ = std::thread([this] { controller_loop(); });
     }
   }
 
@@ -370,17 +310,6 @@ class StreamPipeline {
   StreamStats finish() {
     std::lock_guard<std::mutex> lock(finish_mutex_);
     if (!finished_.exchange(true)) {
-      // Quiesce scaling first: close the integral, stop the controller, and
-      // wake parked workers so they rejoin the pool and help drain the
-      // intake (pop_batch returning 0 is what ends them, same as always).
-      {
-        std::lock_guard<std::mutex> scale_lock(scale_mutex_);
-        scale_closing_.store(true, std::memory_order_release);
-        integrate_live_locked();
-      }
-      ctrl_cv_.notify_all();
-      scale_cv_.notify_all();
-      if (controller_.joinable()) controller_.join();
       if (spill_) {
         // Seal the spill tier before draining it: once spill_closed_ is
         // observed (under submit_mutex_, mutually exclusive with every
@@ -414,21 +343,6 @@ class StreamPipeline {
       merged_.queue_depth_hwm =
           static_cast<std::int64_t>(intake_.depth_high_water());
       merged_.queue_capacity = static_cast<std::int64_t>(intake_.capacity());
-      {
-        // Writers are quiescent (controller joined, set_live_workers bails
-        // on scale_closing_); the lock is belt-and-braces for a racing call
-        // that entered before the seal.
-        std::lock_guard<std::mutex> scale_lock(scale_mutex_);
-        merged_.scale_up_events = scale_up_events_;
-        merged_.scale_down_events = scale_down_events_;
-        merged_.workers_hwm = static_cast<std::int64_t>(workers_hwm_);
-        merged_.workers_lwm = static_cast<std::int64_t>(workers_lwm_);
-        merged_.avg_live_workers =
-            live_mark_s_ > 0
-                ? live_integral_ / live_mark_s_
-                : static_cast<double>(
-                      live_target_.load(std::memory_order_relaxed));
-      }
     }
     StreamStats out = merged_;
     {
@@ -446,49 +360,6 @@ class StreamPipeline {
   }
 
   const StreamOptions& options() const { return options_; }
-
-  /// Set the live worker target.  Clamps to [min_workers, max_workers]
-  /// (a static pool's range is a point, so this is a no-op there), wakes
-  /// parked workers on scale-up, and fires on_scale_event.  Safe from any
-  /// thread — this is both the controller's apply path and the manual
-  /// scaling entry point when scale_interval_s == 0.  Returns the applied
-  /// target; a call racing finish() leaves the target unchanged.
-  std::size_t set_live_workers(std::size_t n, const char* reason = "manual") {
-    n = std::clamp(n, options_.min_workers, options_.max_workers);
-    std::size_t prev;
-    {
-      std::lock_guard<std::mutex> lock(scale_mutex_);
-      if (scale_closing_.load(std::memory_order_relaxed)) {
-        return live_target_.load(std::memory_order_relaxed);
-      }
-      prev = live_target_.load(std::memory_order_relaxed);
-      if (n == prev) return prev;
-      integrate_live_locked();
-      live_target_.store(n, std::memory_order_release);
-      if (n > prev) {
-        ++scale_up_events_;
-        workers_hwm_ = std::max(workers_hwm_, n);
-      } else {
-        ++scale_down_events_;
-        workers_lwm_ = std::min(workers_lwm_, n);
-      }
-    }
-    scale_cv_.notify_all();  // scale-up: wake parked workers
-    if (options_.on_scale_event) {
-      ScaleEvent event;
-      event.t_s = lifetime_.elapsed_s();
-      event.from = prev;
-      event.to = n;
-      event.reason = reason;
-      options_.on_scale_event(event);
-    }
-    return n;
-  }
-
-  /// Current live worker target (surplus parked workers excluded).
-  std::size_t live_workers() const {
-    return live_target_.load(std::memory_order_relaxed);
-  }
 
   // --- Live load observability (lock-free monitoring; values are instant
   // snapshots and may be stale by one operation) ------------------------
@@ -677,92 +548,13 @@ class StreamPipeline {
   }
 
   void enter_busy() {
-    // busy_count_ mirrors busy_workers_ lock-free for the autoscale
-    // controller, which must never contend on the workers' hot-path mutex.
-    busy_count_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(busy_mutex_);
     if (busy_workers_++ == 0) busy_timer_.reset();
   }
 
   void exit_busy() {
-    busy_count_.fetch_sub(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(busy_mutex_);
     if (--busy_workers_ == 0) busy_s_ += busy_timer_.elapsed_s();
-  }
-
-  /// Park this worker until the live target includes its index again (or
-  /// shutdown).  A parked worker leaves workers_alive_ under reorder_mutex_
-  /// — the same protocol as worker exit — so the ordered gate escape keeps
-  /// counting only workers that can actually pop; without that, a
-  /// scale-down with a full reorder buffer would deadlock the gate waiting
-  /// for a popper that is asleep.
-  void park_for_scale(std::size_t worker_index) {
-    {
-      std::lock_guard<std::mutex> lock(reorder_mutex_);
-      --workers_alive_;
-    }
-    reorder_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(scale_mutex_);
-      scale_cv_.wait(lock, [&] {
-        return scale_closing_.load(std::memory_order_relaxed) ||
-               worker_index < live_target_.load(std::memory_order_relaxed);
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(reorder_mutex_);
-      ++workers_alive_;
-    }
-  }
-
-  /// Elastic controller thread: the thin impure driver around the pure
-  /// AutoscaleController — samples real counters every scale_interval_s
-  /// and applies the returned target.  finish() joins this thread first,
-  /// so scaling is quiescent before any teardown step.
-  void controller_loop() {
-    AutoscaleConfig cfg;
-    cfg.min_workers = options_.min_workers;
-    cfg.max_workers = options_.max_workers;
-    cfg.window = options_.scale_window;
-    cfg.cooldown = options_.scale_cooldown;
-    cfg.up_depth = options_.scale_up_depth;
-    cfg.down_busy = options_.scale_down_busy;
-    AutoscaleController ctl(cfg, live_target_.load(std::memory_order_relaxed));
-    const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::duration<double>(options_.scale_interval_s));
-    std::int64_t spilled_seen = 0;
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(scale_mutex_);
-        if (ctrl_cv_.wait_for(lock, interval, [&] {
-              return scale_closing_.load(std::memory_order_relaxed);
-            })) {
-          return;
-        }
-      }
-      AutoscaleSample sample;
-      const double capacity = static_cast<double>(intake_.capacity());
-      sample.depth_fraction =
-          capacity > 0 ? static_cast<double>(intake_.size()) / capacity : 0.0;
-      const double live =
-          static_cast<double>(live_target_.load(std::memory_order_relaxed));
-      sample.busy_fraction =
-          live > 0
-              ? static_cast<double>(busy_count_.load(std::memory_order_relaxed)) /
-                    live
-              : 0.0;
-      // "Spilling" = the tier grew since last tick OR still holds a backlog
-      // (replay pressure keeps the intake full even with no fresh spills).
-      const std::int64_t spilled =
-          wedges_spilled_.load(std::memory_order_relaxed);
-      sample.spilling =
-          spilled != spilled_seen || (spill_ && spill_->pending() > 0);
-      spilled_seen = spilled;
-      const std::size_t target = ctl.observe(sample);
-      if (target != live_target_.load(std::memory_order_relaxed)) {
-        set_live_workers(target, ctl.last_reason());
-      }
-    }
   }
 
   /// Ordered mode: block while the reorder buffer is at capacity, unless
@@ -860,15 +652,6 @@ class StreamPipeline {
     seqs.reserve(options_.batch_size);
     batch.reserve(options_.batch_size);
     while (true) {
-      // Elastic park point: a worker scaled out of the live set sleeps here
-      // between batches (never mid-batch, so no output is ever stranded).
-      // A worker blocked in pop_batch when the target drops processes at
-      // most one more batch before landing back here — self-correcting.
-      if (worker_index >= live_target_.load(std::memory_order_acquire) &&
-          !scale_closing_.load(std::memory_order_acquire)) {
-        park_for_scale(worker_index);
-        continue;
-      }
       items.clear();
       seqs.clear();
       batch.clear();
@@ -878,9 +661,7 @@ class StreamPipeline {
       // items on a trickle (latency, and the trickle spreads across
       // workers instead of one grabbing it all).
       const std::size_t share =
-          options_.adaptive_batch
-              ? live_target_.load(std::memory_order_relaxed)
-              : 0;
+          options_.adaptive_batch ? options_.n_workers : 0;
       if (intake_.pop_batch(items, options_.batch_size, share) == 0) break;
       for (auto& item : items) {
         seqs.push_back(item.seq);
@@ -989,37 +770,6 @@ class StreamPipeline {
 
   std::vector<WorkerStats> worker_stats_;
   std::vector<std::thread> workers_;
-
-  /// Advance the live-worker time integral to now (caller holds
-  /// scale_mutex_).  Called on every target change and once at finish, so
-  /// avg_live_workers is exact piecewise-constant integration.
-  void integrate_live_locked() {
-    const double now = lifetime_.elapsed_s();
-    live_integral_ +=
-        static_cast<double>(live_target_.load(std::memory_order_relaxed)) *
-        (now - live_mark_s_);
-    live_mark_s_ = now;
-  }
-
-  // Elastic pool.  In a static pool live_target_ == max_workers forever:
-  // the park branch never triggers, no controller thread runs, and the
-  // machinery below is inert.  live_target_ is atomic so workers poll it
-  // lock-free; the event counters, hwm/lwm and the time integral are
-  // guarded by scale_mutex_.
-  std::atomic<std::size_t> live_target_{options_.n_workers};
-  std::atomic<bool> scale_closing_{false};
-  std::mutex scale_mutex_;
-  std::condition_variable scale_cv_;  ///< parks surplus workers
-  std::condition_variable ctrl_cv_;   ///< controller interval / shutdown
-  std::size_t workers_hwm_ = options_.n_workers;
-  std::size_t workers_lwm_ = options_.n_workers;
-  std::int64_t scale_up_events_ = 0;
-  std::int64_t scale_down_events_ = 0;
-  double live_integral_ = 0.0;  ///< ∫ live target dt since construction
-  double live_mark_s_ = 0.0;    ///< lifetime_ time of the last integration
-  util::Timer lifetime_;        ///< construction-relative clock (events, avg)
-  std::atomic<int> busy_count_{0};  ///< lock-free mirror of busy_workers_
-  std::thread controller_;
 
   std::atomic<bool> finished_{false};
   std::mutex finish_mutex_;

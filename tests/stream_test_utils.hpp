@@ -1,9 +1,9 @@
 /// \file stream_test_utils.hpp
 /// \brief Shared scaffolding for the streaming suites (test_stream_pipeline,
-///        test_stream_decompress, test_spill, test_elastic_pipeline, ...).
+///        test_stream_decompress, test_spill, test_codec, ...).
 ///
-/// Every stream contract must hold however the worker pool drains the
-/// intake, so the suites parameterize over PipelineVariant; several also
+/// Every stream contract must hold however the fixed worker pool drains
+/// the intake, so the suites parameterize over PipelineVariant; several also
 /// need a worker stalled mid-transform (to pin down reorder bounds, stall
 /// tolerance, adaptive batching) and sinks that record what arrived.  Keep
 /// that machinery here so the suites can't drift.
@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <ostream>
@@ -25,6 +28,7 @@
 #include "codec/stream_pipeline.hpp"
 #include "codec/wedge_codec.hpp"
 #include "tpc/dataset.hpp"
+#include "util/serialize.hpp"
 
 namespace nc::testutil {
 
@@ -36,14 +40,12 @@ using IntPipeline = codec::StreamPipeline<int, int>;
 enum class PipelineVariant {
   kAdaptive,    ///< defaults: static pool, depth-adaptive drain size
   kFixedDrain,  ///< adaptive_batch off: every pop takes up to batch_size
-  kElastic,     ///< elastic pool in manual mode, held at its full size
 };
 
 inline const char* to_string(PipelineVariant v) {
   switch (v) {
     case PipelineVariant::kAdaptive: return "adaptive";
     case PipelineVariant::kFixedDrain: return "fixed_drain";
-    case PipelineVariant::kElastic: return "elastic";
   }
   return "unknown";
 }
@@ -51,17 +53,37 @@ inline const char* to_string(PipelineVariant v) {
 /// gtest printer, so test listings show the variant name, not its bytes.
 inline void PrintTo(PipelineVariant v, std::ostream* os) { *os << to_string(v); }
 
-/// StreamOptions for `v`; callers then set queue/batch/worker sizes.  The
-/// elastic pool runs without a controller (scale_interval_s = 0), so all
-/// n_workers stay live and a test's worker count means what it says.
+/// StreamOptions for `v`; callers then set queue/batch/worker sizes.
 inline codec::StreamOptions variant_options(PipelineVariant v) {
   codec::StreamOptions opt;
   if (v == PipelineVariant::kFixedDrain) opt.adaptive_batch = false;
-  if (v == PipelineVariant::kElastic) {
-    opt.elastic = true;
-    opt.scale_interval_s = 0.0;
-  }
   return opt;
+}
+
+/// Spill codec for IntPipeline: the int's raw bytes.
+inline IntPipeline::SpillCodec int_spill_codec() {
+  return {[](const int& v) {
+            return std::string(reinterpret_cast<const char*>(&v), sizeof(int));
+          },
+          [](const std::string& s) {
+            if (s.size() != sizeof(int)) {
+              throw util::SerializeError("spilled int payload size mismatch");
+            }
+            int v = 0;
+            std::memcpy(&v, s.data(), sizeof(int));
+            return v;
+          }};
+}
+
+/// Fresh, empty per-test scratch directory under the gtest temp root
+/// (unique per test, so parallel ctest runs never collide).
+inline std::string fresh_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "-" + info->name();
+  std::replace(name.begin(), name.end(), '/', '-');
+  const std::string dir = ::testing::TempDir() + "nc-" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 /// Base fixture for suites parameterized over PipelineVariant.
@@ -73,13 +95,12 @@ class PipelineVariantTest : public ::testing::TestWithParam<PipelineVariant> {
 };
 
 /// Instantiates `suite` once per PipelineVariant with readable test names
-/// (".../adaptive", ".../fixed_drain", ".../elastic").
+/// (".../adaptive", ".../fixed_drain").
 #define NC_INSTANTIATE_PIPELINE_VARIANTS(suite)                          \
   INSTANTIATE_TEST_SUITE_P(                                              \
       Variants, suite,                                                   \
       ::testing::Values(::nc::testutil::PipelineVariant::kAdaptive,      \
-                        ::nc::testutil::PipelineVariant::kFixedDrain,    \
-                        ::nc::testutil::PipelineVariant::kElastic),      \
+                        ::nc::testutil::PipelineVariant::kFixedDrain),   \
       [](const ::testing::TestParamInfo<                                 \
           ::nc::testutil::PipelineVariant>& tpi) {                       \
         return std::string(::nc::testutil::to_string(tpi.param));        \

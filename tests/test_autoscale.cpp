@@ -1,11 +1,10 @@
 /// \file test_autoscale.cpp
-/// \brief Deterministic unit tests for the elastic pool's scaling policy.
+/// \brief Deterministic unit tests for the worker-count scaling policy.
 ///
 /// AutoscaleController is a pure sample-in / target-out state machine (no
 /// clocks, no threads), so every test here drives it with an injected sample
 /// sequence and asserts the exact decision trace — hysteresis, floor/ceiling
-/// clamps, spill-triggered scale-up — with zero sleeps.  The impure pipeline
-/// driver around it is covered by test_elastic_pipeline.cpp.
+/// clamps, spill-triggered scale-up — with zero sleeps.
 #include <gtest/gtest.h>
 
 #include <cstddef>

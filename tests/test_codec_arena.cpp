@@ -71,8 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllCodecs, CodecArena,
     ::testing::Combine(
         ::testing::Values(PipelineVariant::kAdaptive,
-                          PipelineVariant::kFixedDrain,
-                          PipelineVariant::kElastic),
+                          PipelineVariant::kFixedDrain),
         ::testing::ValuesIn(nc::codec::registered_codec_names())),
     [](const ::testing::TestParamInfo<std::tuple<PipelineVariant, std::string>>&
            tpi) {

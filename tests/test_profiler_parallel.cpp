@@ -119,8 +119,8 @@ TEST(BoundedQueue, CloseReleasesConsumerBlockedInPopBatch) {
     }
     consumer_done.store(true);
   });
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
+  EXPECT_TRUE(q.try_push(1));
+  EXPECT_TRUE(q.try_push(2));
   // Once the consumer has drained everything it blocks inside pop_batch on
   // the empty queue; close() must wake it and return 0 so it can exit.
   while (drained.load() < 2) std::this_thread::yield();
@@ -128,7 +128,7 @@ TEST(BoundedQueue, CloseReleasesConsumerBlockedInPopBatch) {
   consumer.join();
   EXPECT_TRUE(consumer_done.load());
   EXPECT_EQ(drained.load(), 2);
-  EXPECT_FALSE(q.push(3));  // closed intake rejects blocking pushes too
+  EXPECT_FALSE(q.try_push(3));  // a closed intake rejects pushes
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ class ThrottledCodec : public WedgeCodec {
 };
 
 TEST(ServiceSoak, OverloadDegradesBeforeSheddingAndBoundsSpill) {
-  const fs::path dir = fs::temp_directory_path() / "nc_service_soak";
+  const fs::path dir = fs::path(::testing::TempDir()) / "nc_service_soak";
   fs::remove_all(dir);
   fs::create_directories(dir);
 

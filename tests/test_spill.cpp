@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -42,20 +41,11 @@ using nc::codec::StreamCompressor;
 using nc::codec::StreamOptions;
 using nc::core::Mode;
 using nc::core::Tensor;
+using nc::testutil::fresh_dir;
+using nc::testutil::int_spill_codec;
 using nc::testutil::IntPipeline;
 using nc::testutil::raw_wedge;
 using nc::util::SerializeError;
-
-/// Fresh per-test scratch directory under the gtest temp root (unique per
-/// test so parallel ctest runs never collide).
-std::string fresh_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string(info->test_suite_name()) + "-" + info->name();
-  std::replace(name.begin(), name.end(), '/', '-');
-  const std::string dir = ::testing::TempDir() + "nc-spill-" + name;
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::string payload_for(int i) {
   // Variable lengths so offsets aren't accidentally aligned.
@@ -73,21 +63,6 @@ std::vector<std::string> segment_files(const std::string& dir) {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-/// Spill codec for the synthetic int pipeline.
-IntPipeline::SpillCodec int_spill_codec() {
-  return {[](const int& v) {
-            return std::string(reinterpret_cast<const char*>(&v), sizeof(int));
-          },
-          [](const std::string& s) {
-            if (s.size() != sizeof(int)) {
-              throw SerializeError("spilled int payload size mismatch");
-            }
-            int v = 0;
-            std::memcpy(&v, s.data(), sizeof(int));
-            return v;
-          }};
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 /// finish) is exercised without the codec in the way.  StreamCompressor /
 /// StreamDecompressor are thin adapters over this class — the codec-facing
 /// behavior lives in test_codec.cpp and test_stream_decompress.cpp; the
-/// spill tier in test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
+/// spill tier in test_spill.cpp (the bursty-load suite at the bottom also
+/// drives it, together with ordering and the reorder bound).  Shared
+/// scaffolding: stream_test_utils.hpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@ namespace {
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
+using nc::testutil::PipelineVariant;
 using nc::testutil::spin_until;
 using nc::testutil::StallLatch;
 
@@ -365,6 +369,164 @@ TEST_P(StreamPipelineVariant, OrderedBoundedReorderUnderFourWorkersEmitsIdentity
   EXPECT_EQ(stats.wedges_compressed, n);
   EXPECT_EQ(stats.wedges_failed, 0);
   nc::testutil::expect_ordered_identity(seqs, n);
+}
+
+// ---------------------------------------------------------------------------
+// Bursty load: a fixed pool whose drain size stretches with the backlog
+// ---------------------------------------------------------------------------
+
+/// Submits 0..n-1 through `submit`, pausing after every `burst` items so the
+/// intake swings between backed up and empty.  The pool never resizes under
+/// such a load; what scales is each worker's drain — with adaptive_batch,
+/// from batch_size on a backlog down to 1 on a trickle — concurrently with
+/// the workers' emission.
+template <typename Submit>
+void submit_in_bursts(int n, int burst, Submit&& submit) {
+  for (int i = 0; i < n; ++i) {
+    submit(i);
+    if ((i + 1) % burst == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+}
+
+/// Pool contracts under bursty load for both drain sizings: `adaptive`
+/// stretches every worker's drain with each burst and shrinks it in each
+/// pause; `fixed_drain` runs the same load as the control.
+class ElasticPipelineDrain : public nc::testutil::PipelineVariantTest {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Drains, ElasticPipelineDrain,
+    ::testing::Values(PipelineVariant::kAdaptive, PipelineVariant::kFixedDrain),
+    [](const ::testing::TestParamInfo<PipelineVariant>& tpi) {
+      return std::string(nc::testutil::to_string(tpi.param));
+    });
+
+TEST_P(ElasticPipelineDrain, StaticPoolIgnoresScaling) {
+  // Trickle, burst, trickle: exactly n_workers threads run the transform
+  // through every phase; no load spawns or retires one.
+  StreamOptions opt = base_options();
+  opt.n_workers = 2;
+  opt.queue_capacity = 16;
+  opt.batch_size = 4;
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  std::atomic<int> received{0};
+  IntPipeline pipeline(
+      opt,
+      [&](std::vector<int>&& in) {
+        {
+          std::lock_guard<std::mutex> lock(ids_mutex);
+          ids.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t, int&&) { received.fetch_add(1); });
+  int next = 0;
+  const auto trickle = [&] {
+    for (int i = 0; i < 8; ++i) {
+      pipeline.submit(next++);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  trickle();
+  for (int i = 0; i < 64; ++i) pipeline.submit(next++);
+  trickle();
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_compressed, next);
+  EXPECT_EQ(stats.wedges_dropped, 0);
+  EXPECT_EQ(received.load(), next);
+  ASSERT_EQ(stats.per_worker.size(), 2u) << "static pool size unchanged";
+  EXPECT_EQ(stats.per_worker[0].wedges_compressed +
+                stats.per_worker[1].wedges_compressed,
+            next);
+  std::lock_guard<std::mutex> lock(ids_mutex);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u) << "a transform ran outside the fixed pool";
+}
+
+TEST_P(ElasticPipelineDrain, OrderedIdentitySurvivesConcurrentScaling) {
+  // The bounded reorder gate while four workers' drain sizes swing with
+  // every burst: ordered emission must stay a loss-free identity.
+  StreamOptions opt = base_options();
+  opt.n_workers = 4;
+  opt.queue_capacity = 16;
+  opt.batch_size = 4;
+  opt.ordered = true;
+  opt.reorder_capacity = 8;  // tight bound: force gate traffic
+  nc::testutil::SeqLog log;
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t seq, int&&) { log.push(seq); });
+  const int n = 512;
+  submit_in_bursts(n, 64, [&](int i) { pipeline.submit(i); });
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(stats.wedges_dropped, 0);
+  EXPECT_EQ(stats.wedges_failed, 0);
+  nc::testutil::expect_ordered_identity(log.snapshot(),
+                                        static_cast<std::uint64_t>(n));
+}
+
+TEST_P(ElasticPipelineDrain, UnorderedLossFreeUnderConcurrentScaling) {
+  StreamOptions opt = base_options();
+  opt.n_workers = 4;
+  opt.queue_capacity = 8;
+  opt.batch_size = 2;
+  std::atomic<int> received{0};
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        std::this_thread::sleep_for(std::chrono::microseconds(10));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t, int&&) { received.fetch_add(1); });
+  const int n = 512;
+  submit_in_bursts(n, 64, [&](int i) { pipeline.submit(i); });
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_in, n);
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(stats.wedges_dropped, 0);
+  EXPECT_EQ(received.load(), n);
+}
+
+TEST_P(ElasticPipelineDrain, SpillReplaySurvivesConcurrentScaling) {
+  // Spill + replay + ordered reorder + drain sizes swinging with each
+  // burst: every moving part of the pipeline at once, with loss-freedom as
+  // the oracle.
+  StreamOptions opt = base_options();
+  opt.n_workers = 4;
+  opt.queue_capacity = 4;
+  opt.batch_size = 2;
+  opt.ordered = true;
+  opt.reorder_capacity = 8;
+  opt.spill_dir = nc::testutil::fresh_dir();
+  nc::testutil::SeqLog log;
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t seq, int&&) { log.push(seq); },
+      nc::testutil::int_spill_codec());
+  const int n = 128;
+  submit_in_bursts(n, 32, [&](int i) {
+    EXPECT_TRUE(pipeline.try_submit(i)) << "accepted or spilled, never lost";
+  });
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(stats.wedges_in, n);
+  EXPECT_EQ(stats.wedges_compressed, n);
+  EXPECT_EQ(stats.wedges_dropped, 0);
+  EXPECT_GT(stats.wedges_spilled, 0) << "test never exercised the spill path";
+  EXPECT_EQ(stats.wedges_replayed, stats.wedges_spilled);
+  nc::testutil::expect_ordered_identity(log.snapshot(),
+                                        static_cast<std::uint64_t>(n));
 }
 
 }  // namespace

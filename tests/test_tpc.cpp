@@ -303,7 +303,7 @@ TEST(WedgeDataset, SaveLoadRoundTrip) {
   cfg.n_events = 1;
   cfg.geometry.scale = 0.125;
   const auto ds = nc::tpc::WedgeDataset::generate(cfg);
-  const auto path = std::filesystem::temp_directory_path() / "nc_test_ds.bin";
+  const auto path = std::filesystem::path(::testing::TempDir()) / "nc_test_ds.bin";
   ds.save(path.string());
   const auto loaded = nc::tpc::WedgeDataset::load(path.string());
   ASSERT_EQ(loaded.train().size(), ds.train().size());
