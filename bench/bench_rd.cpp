@@ -104,8 +104,9 @@ int main(int argc, char** argv) {
   if (n_workers == 0) {
     n_workers = std::min<std::size_t>(4, util::hardware_threads());
   }
-  // Worker-pool parallelism only — same OpenMP limit as bench_stream, so
-  // wedges/s columns are comparable across benches.
+  // Limits OpenMP on this (main) thread only, as in bench_stream: pipeline
+  // workers start with the process default team size, which only
+  // OMP_NUM_THREADS=1 sets to one thread.
   util::set_num_threads(1);
 
   codec::StreamOptions opt;

@@ -3,8 +3,11 @@
 ///
 /// Measures wedges/s through StreamCompressor (encode) and
 /// StreamDecompressor (decode, the offline-analysis side) as n_workers grows
-/// from 1 to the hardware concurrency, with OpenMP limited to one thread per
-/// worker so the only parallelism under test is the worker pool itself.
+/// from 1 to the hardware concurrency.  OpenMP is NOT limited per worker by
+/// this bench: `util::set_num_threads(1)` below sets the team size of the
+/// main thread only, and libgomp gives each new pipeline worker the process
+/// default, so every worker still fans out to all cores.  Run it with
+/// OMP_NUM_THREADS=1 to measure the worker pool alone.
 ///
 /// A burst run follows: a 4x-capacity try_submit burst with the spill
 /// tier enabled — the lossless-backpressure claim
@@ -115,8 +118,8 @@ int main(int argc, char** argv) {
   std::vector<codec::WedgeEnvelope> stored;
   for (const auto& w : wedges) stored.push_back(wedge_codec.compress(w));
 
-  // One OpenMP thread per worker: scaling must come from the worker pool,
-  // not from intra-batch OpenMP fan-out fighting it for cores.
+  // Limits OpenMP on this (main) thread only.  Pipeline workers start with
+  // the process default team size; only OMP_NUM_THREADS=1 reaches them.
   util::set_num_threads(1);
 
   const unsigned hw = static_cast<unsigned>(util::hardware_threads());

@@ -1,6 +1,9 @@
 #include "core/gemm.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <new>
 #include <vector>
 
 #include "core/simd_dispatch.hpp"
@@ -13,19 +16,49 @@ namespace nc::core {
 
 namespace {
 
-// Tile sizes.  Conv GEMMs here are "short and fat" (M = out-channels is
-// small, N = output pixels is large), so the column tile must be small
-// enough that collapse(2) still yields >= #cores tiles for a single GEMM.
-constexpr std::int64_t kMB = 16;
-constexpr std::int64_t kNB = 128;
+/// Rows of C per parallel work item (a multiple of every tier's `mr`).
+/// Conv GEMMs are "short and fat", so most calls have m <= kMC and split
+/// over column panels alone; backward-data (m = 288) also splits rows.
+constexpr std::int64_t kMC = 96;
 
-/// Scale (or clear) C by beta.
+/// Minimal 64-byte-aligned allocator: the packed panel is read with aligned
+/// vector loads, one cache line per 16 floats.
+template <typename T>
+struct Aligned64 {
+  using value_type = T;
+  Aligned64() = default;
+  template <typename U>
+  Aligned64(const Aligned64<U>& /*other*/) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
+  }
+  void deallocate(T* p, std::size_t /*n*/) {
+    ::operator delete(p, std::align_val_t{64});
+  }
+  friend bool operator==(const Aligned64&, const Aligned64&) { return true; }
+};
+
+using FloatBuf = std::vector<float, Aligned64<float>>;
+
+/// Per-thread scratch, capacity kept across calls so steady-state inference
+/// allocates nothing.  `t_panel` holds one kc x nr panel of op(B) for the
+/// thread packing it; `t_a` holds op(A) when it is not already a row-major
+/// fp32 matrix (trans_a, or hgemm's binary16 A).
+thread_local FloatBuf t_panel;
+thread_local FloatBuf t_a;
+
+float* reserve(FloatBuf& buf, std::int64_t floats) {
+  if (buf.size() < static_cast<std::size_t>(floats)) {
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
+}
+
+/// Scale (or clear) C by beta.  Only the degenerate calls (k == 0 or
+/// alpha == 0) need it; otherwise the micro-kernel applies beta.
 void apply_beta(std::int64_t m, std::int64_t n, float beta, float* c,
                 std::int64_t ldc) {
   if (beta == 1.f) return;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (m * n > (1 << 15) && !omp_in_parallel())
-#endif
   for (std::int64_t i = 0; i < m; ++i) {
     float* ci = c + i * ldc;
     if (beta == 0.f) {
@@ -36,44 +69,45 @@ void apply_beta(std::int64_t m, std::int64_t n, float beta, float* c,
   }
 }
 
-/// NN microkernel on one (rows x cols) tile: C += alpha * A * B.
-/// i-k-j loop order: the j loop is a contiguous FMA stream the compiler
-/// vectorizes; the A element is a scalar broadcast.
-inline void tile_nn(std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                    std::int64_t j1, std::int64_t k, float alpha,
-                    const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = alpha * ai[kk];
-      if (av == 0.f) continue;
-      const float* bk = b + kk * ldb;
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-      for (std::int64_t j = j0; j < j1; ++j) ci[j] += av * bk[j];
-    }
-  }
-}
+/// The blocked driver shared by sgemm and hgemm: C = beta * C + alpha *
+/// A * op(B), with A row-major fp32 (m x k, leading dimension lda).
+/// `pack(k0, kc, j0, cols, panel)` writes rows [k0, k0 + kc) and columns
+/// [j0, j0 + cols) of op(B) into a kc x nr panel, zero-padding columns
+/// past `cols`.
+///
+/// Work items are (row block of kMC, column panel of nr).  Each item walks
+/// k in balanced blocks of at most kGemmKC, packs that block of its panel
+/// once, and runs the micro-kernel down the item's rows.  Every C element
+/// is summed in the same order whatever the thread count.
+template <typename PackB>
+void packed_gemm(const simd::GemmTile& tile, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                 float beta, float* c, std::int64_t ldc, const PackB& pack) {
+  const std::int64_t k_blocks = (k + kGemmKC - 1) / kGemmKC;
+  const std::int64_t kc_max = (k + k_blocks - 1) / k_blocks;
+  const std::int64_t row_blocks = (m + kMC - 1) / kMC;
+  const std::int64_t panels = (n + tile.nr - 1) / tile.nr;
 
-/// NT microkernel: C += alpha * A * B^T  (dot products of contiguous rows).
-inline void tile_nt(std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                    std::int64_t j1, std::int64_t k, float alpha,
-                    const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t j = j0; j < j1; ++j) {
-      const float* bj = b + j * ldb;
-      float acc = 0.f;
 #ifdef _OPENMP
-#pragma omp simd reduction(+ : acc)
+#pragma omp parallel for collapse(2) schedule(static) \
+    if (row_blocks * panels > 1 && !omp_in_parallel())
 #endif
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += ai[kk] * bj[kk];
-      ci[j] += alpha * acc;
+  for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
+    for (std::int64_t jp = 0; jp < panels; ++jp) {
+      float* panel = reserve(t_panel, kc_max * tile.nr);
+      const std::int64_t i1 = std::min(m, (rb + 1) * kMC);
+      const std::int64_t j0 = jp * tile.nr;
+      const std::int64_t cols = std::min(tile.nr, n - j0);
+      for (std::int64_t k0 = 0; k0 < k; k0 += kc_max) {
+        const std::int64_t kc = std::min(kc_max, k - k0);
+        pack(k0, kc, j0, cols, panel);
+        const float beta_k = k0 == 0 ? beta : 1.f;
+        for (std::int64_t i = rb * kMC; i < i1; i += tile.mr) {
+          tile.run(std::min(tile.mr, i1 - i), cols, kc, alpha,
+                   a + i * lda + k0, lda, panel, beta_k, c + i * ldc + j0,
+                   ldc);
+        }
+      }
     }
   }
 }
@@ -84,76 +118,94 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, std::int64_t lda,
            const float* b, std::int64_t ldb, float beta, float* c,
            std::int64_t ldc) {
-  apply_beta(m, n, beta, c, ldc);
-  if (m == 0 || n == 0 || k == 0 || alpha == 0.f) return;
+  sgemm_with(simd::kernels().gemm_tile, trans_a, trans_b, m, n, k, alpha, a,
+             lda, b, ldb, beta, c, ldc);
+}
 
-  // Transposed-A cases: pack op(A) once (A is always the small conv-weight
-  // side in this library, so the pack is cheap) and fall through to NN/NT.
-  std::vector<float> packed_a;
-  const float* a_eff = a;
-  std::int64_t lda_eff = lda;
-  if (trans_a) {
-    packed_a.resize(static_cast<std::size_t>(m * k));
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* src = a + kk * lda;
-      for (std::int64_t i = 0; i < m; ++i) packed_a[i * k + kk] = src[i];
-    }
-    a_eff = packed_a.data();
-    lda_eff = k;
+void sgemm_with(const simd::GemmTile& tile, bool trans_a, bool trans_b,
+                std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                const float* a, std::int64_t lda, const float* b,
+                std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.f) {
+    apply_beta(m, n, beta, c, ldc);
+    return;
   }
 
-  const std::int64_t n_row_blocks = (m + kMB - 1) / kMB;
-  const std::int64_t n_col_blocks = (n + kNB - 1) / kNB;
-
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && !omp_in_parallel())
-#endif
-  for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
-    for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {
-      const std::int64_t i0 = rb * kMB;
-      const std::int64_t i1 = std::min(m, i0 + kMB);
-      const std::int64_t j0 = cb * kNB;
-      const std::int64_t j1 = std::min(n, j0 + kNB);
-      if (!trans_b) {
-        tile_nn(i0, i1, j0, j1, k, alpha, a_eff, lda_eff, b, ldb, c, ldc);
-      } else {
-        tile_nt(i0, i1, j0, j1, k, alpha, a_eff, lda_eff, b, ldb, c, ldc);
-      }
+  // Transposed A: pack op(A) row-major (A is always the small conv-weight
+  // side in this library, so the pack is cheap).
+  if (trans_a) {
+    float* packed = reserve(t_a, m * k);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float* src = a + kk * lda;
+      for (std::int64_t i = 0; i < m; ++i) packed[i * k + kk] = src[i];
     }
+    a = packed;
+    lda = k;
+  }
+
+  const std::int64_t nr = tile.nr;
+  if (!trans_b) {
+    // op(B) = B: copy nr-wide row segments.
+    packed_gemm(tile, m, n, k, alpha, a, lda, beta, c, ldc,
+                [&](std::int64_t k0, std::int64_t kc, std::int64_t j0,
+                    std::int64_t cols, float* panel) {
+                  for (std::int64_t kk = 0; kk < kc; ++kk) {
+                    float* dst = panel + kk * nr;
+                    std::memcpy(dst, b + (k0 + kk) * ldb + j0,
+                                static_cast<std::size_t>(cols) * sizeof(float));
+                    std::fill(dst + cols, dst + nr, 0.f);
+                  }
+                });
+  } else {
+    // op(B) = B^T (backward-weight): row j of B becomes panel column j.
+    // Walking k in short strips keeps the strip's panel rows in L1 while
+    // all `cols` source rows are read.
+    packed_gemm(tile, m, n, k, alpha, a, lda, beta, c, ldc,
+                [&](std::int64_t k0, std::int64_t kc, std::int64_t j0,
+                    std::int64_t cols, float* panel) {
+                  constexpr std::int64_t kStrip = 64;
+                  if (cols < nr) std::fill(panel, panel + kc * nr, 0.f);
+                  for (std::int64_t s0 = 0; s0 < kc; s0 += kStrip) {
+                    const std::int64_t s1 = std::min(kc, s0 + kStrip);
+                    for (std::int64_t j = 0; j < cols; ++j) {
+                      const float* src = b + (j0 + j) * ldb + k0;
+                      for (std::int64_t kk = s0; kk < s1; ++kk) {
+                        panel[kk * nr + j] = src[kk];
+                      }
+                    }
+                  }
+                });
   }
 }
 
 void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const util::half* a, std::int64_t lda, const util::half* b,
            std::int64_t ldb, float* c, std::int64_t ldc) {
-  apply_beta(m, n, 0.f, c, ldc);
-  if (m == 0 || n == 0 || k == 0) return;
-
-  // Half-storage microkernel: C += float(A[i,k]) * float(B[k, j0:j1]),
-  // runtime-dispatched.  On F16C hardware the B row is widened 8 lanes at a
-  // time (VCVTPH2PS + FMA), streaming half the bytes of the fp32 kernel —
-  // the CPU analogue of the paper's tensor-core half-precision mode.  The
-  // old compile-time __F16C__ gate made this dead code in default builds;
-  // the dispatcher selects it per-process instead.
-  const auto tile_hh = simd::kernels().tile_hh;
-
-  const std::int64_t n_row_blocks = (m + kMB - 1) / kMB;
-  const std::int64_t n_col_blocks = (n + kNB - 1) / kNB;
-
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && !omp_in_parallel())
-#endif
-  for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
-    for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {
-      const std::int64_t i0 = rb * kMB;
-      const std::int64_t i1 = std::min(m, i0 + kMB);
-      const std::int64_t j0 = cb * kNB;
-      const std::int64_t j1 = std::min(n, j0 + kNB);
-      tile_hh(i0, i1, j0, j1, k, a, lda, b, ldb, c, ldc);
-    }
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    apply_beta(m, n, 0.f, c, ldc);
+    return;
   }
+
+  // binary16 -> fp32 is exact, so widening A up front (at most out_c x
+  // patch size values) and B panel by panel gives the fp32 kernel exactly
+  // the half-storage operands.
+  float* a32 = reserve(t_a, m * k);
+  for (std::int64_t i = 0; i < m; ++i) {
+    util::half_to_float_n(a + i * lda, a32 + i * k, k);
+  }
+  const simd::GemmTile& tile = simd::kernels().gemm_tile;
+  const std::int64_t nr = tile.nr;
+  packed_gemm(tile, m, n, k, 1.f, a32, k, 0.f, c, ldc,
+              [&](std::int64_t k0, std::int64_t kc, std::int64_t j0,
+                  std::int64_t cols, float* panel) {
+                for (std::int64_t kk = 0; kk < kc; ++kk) {
+                  float* dst = panel + kk * nr;
+                  util::half_to_float_n(b + (k0 + kk) * ldb + j0, dst, cols);
+                  std::fill(dst + cols, dst + nr, 0.f);
+                }
+              });
 }
 
 }  // namespace nc::core

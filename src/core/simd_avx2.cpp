@@ -279,41 +279,63 @@ void quantize_scaled_avx2(const float* x, std::int64_t n, float inv_scale,
   }
 }
 
-void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                  std::int64_t j1, std::int64_t k, const util::half* a,
-                  std::int64_t lda, const util::half* b, std::int64_t ldb,
-                  float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const util::half* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = static_cast<float>(ai[kk]);
-      if (av == 0.f) continue;
-      const util::half* bk = b + kk * ldb;
-      const __m256 av8 = _mm256_set1_ps(av);
-      std::int64_t j = j0;
-      for (; j + 16 <= j1; j += 16) {
-        const __m128i raw0 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j));
-        const __m128i raw1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j + 8));
-        __m256 c0 = _mm256_loadu_ps(ci + j);
-        __m256 c1 = _mm256_loadu_ps(ci + j + 8);
-        c0 = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw0), c0);
-        c1 = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw1), c1);
-        _mm256_storeu_ps(ci + j, c0);
-        _mm256_storeu_ps(ci + j + 8, c1);
-      }
-      for (; j + 8 <= j1; j += 8) {
-        const __m128i raw =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j));
-        __m256 cc = _mm256_loadu_ps(ci + j);
-        cc = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw), cc);
-        _mm256_storeu_ps(ci + j, cc);
-      }
-      for (; j < j1; ++j) ci[j] += av * static_cast<float>(bk[j]);
+constexpr std::int64_t kTileMr = 6;
+constexpr std::int64_t kTileNr = 16;
+
+/// C[0:R, 0:cols] = beta * C + alpha * A * panel over kc steps; see
+/// simd::GemmTile.  6 x 16 keeps 12 ymm accumulators, two panel rows and
+/// one broadcast within the 16 ymm registers.
+template <int R>
+void gemm_tile_rows(std::int64_t cols, std::int64_t kc, float alpha,
+                    const float* a, std::int64_t lda, const float* panel,
+                    float beta, float* c, std::int64_t ldc) {
+  __m256 acc0[R];
+  __m256 acc1[R];
+  for (int r = 0; r < R; ++r) {
+    acc0[r] = _mm256_setzero_ps();
+    acc1[r] = _mm256_setzero_ps();
+  }
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 b0 = _mm256_load_ps(panel + kk * kTileNr);
+    const __m256 b1 = _mm256_load_ps(panel + kk * kTileNr + 8);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
+      acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+  // Lane masks for the ragged right edge: lane j is live iff j < cols.
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i m0 = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(cols)), lane);
+  const __m256i m1 = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(cols) - 8), lane);
+  const __m256 va = _mm256_set1_ps(alpha);
+  const __m256 vb = _mm256_set1_ps(beta);
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + r * ldc;
+    __m256 x0 = _mm256_mul_ps(va, acc0[r]);
+    __m256 x1 = _mm256_mul_ps(va, acc1[r]);
+    if (beta != 0.f) {
+      x0 = _mm256_fmadd_ps(vb, _mm256_maskload_ps(cr, m0), x0);
+      x1 = _mm256_fmadd_ps(vb, _mm256_maskload_ps(cr + 8, m1), x1);
+    }
+    _mm256_maskstore_ps(cr, m0, x0);
+    _mm256_maskstore_ps(cr + 8, m1, x1);
+  }
+}
+
+void gemm_tile_avx2(std::int64_t rows, std::int64_t cols, std::int64_t kc,
+                    float alpha, const float* a, std::int64_t lda,
+                    const float* panel, float beta, float* c,
+                    std::int64_t ldc) {
+  using Fn = void (*)(std::int64_t, std::int64_t, float, const float*,
+                      std::int64_t, const float*, float, float*,
+                      std::int64_t);
+  static constexpr Fn kByRows[kTileMr] = {
+      &gemm_tile_rows<1>, &gemm_tile_rows<2>, &gemm_tile_rows<3>,
+      &gemm_tile_rows<4>, &gemm_tile_rows<5>, &gemm_tile_rows<6>};
+  kByRows[rows - 1](cols, kc, alpha, a, lda, panel, beta, c, ldc);
 }
 
 }  // namespace
@@ -325,7 +347,7 @@ Kernels avx2_kernels() {
   t.qgemm = &qgemm_avx2;
   t.max_abs = &max_abs_avx2;
   t.quantize_scaled = &quantize_scaled_avx2;
-  t.tile_hh = &tile_hh_avx2;
+  t.gemm_tile = {kTileMr, kTileNr, &gemm_tile_avx2};
   return t;
 }
 

@@ -16,9 +16,10 @@
 /// (Contrast with the AVX2 tier, which must use sign-transfer to dodge
 /// `vpmaddubsw` saturation — see simd_avx2.cpp.)
 ///
-/// Only `qgemm` is overridden at this tier; max_abs / quantize_scaled /
-/// tile_hh are inherited from the AVX2 table, whose 256-bit forms already
-/// saturate the load ports at these panel sizes.
+/// The fp32 GEMM micro-kernel is an 8 x 32 register tile: 16 zmm
+/// accumulators, two panel loads and eight broadcast FMAs per k step.
+/// `max_abs` and `quantize_scaled` are inherited from the AVX2 table, whose
+/// 256-bit forms already saturate the load ports at these sizes.
 #include "core/simd_dispatch.hpp"
 
 #if defined(NC_SIMD_BUILD_AVX512) && defined(__AVX512F__) && \
@@ -224,6 +225,67 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
+constexpr std::int64_t kTileMr = 8;
+constexpr std::int64_t kTileNr = 32;
+
+/// C[0:R, 0:cols] = beta * C + alpha * A * panel over kc steps; see
+/// simd::GemmTile.  R is a template parameter so the accumulator arrays are
+/// fully unrolled into registers for every edge height.
+template <int R>
+void gemm_tile_rows(std::int64_t cols, std::int64_t kc, float alpha,
+                    const float* a, std::int64_t lda, const float* panel,
+                    float beta, float* c, std::int64_t ldc) {
+  __m512 acc0[R];
+  __m512 acc1[R];
+  for (int r = 0; r < R; ++r) {
+    acc0[r] = _mm512_setzero_ps();
+    acc1[r] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m512 b0 = _mm512_load_ps(panel + kk * kTileNr);
+    const __m512 b1 = _mm512_load_ps(panel + kk * kTileNr + 16);
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
+      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+  const auto lane_mask = [](std::int64_t width) -> __mmask16 {
+    if (width >= 16) return 0xFFFF;
+    if (width <= 0) return 0;
+    return static_cast<__mmask16>((1u << width) - 1u);
+  };
+  const __mmask16 m0 = lane_mask(cols);
+  const __mmask16 m1 = lane_mask(cols - 16);
+  const __m512 va = _mm512_set1_ps(alpha);
+  const __m512 vb = _mm512_set1_ps(beta);
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + r * ldc;
+    __m512 x0 = _mm512_mul_ps(va, acc0[r]);
+    __m512 x1 = _mm512_mul_ps(va, acc1[r]);
+    if (beta != 0.f) {
+      x0 = _mm512_fmadd_ps(vb, _mm512_maskz_loadu_ps(m0, cr), x0);
+      x1 = _mm512_fmadd_ps(vb, _mm512_maskz_loadu_ps(m1, cr + 16), x1);
+    }
+    _mm512_mask_storeu_ps(cr, m0, x0);
+    _mm512_mask_storeu_ps(cr + 16, m1, x1);
+  }
+}
+
+void gemm_tile_avx512(std::int64_t rows, std::int64_t cols, std::int64_t kc,
+                      float alpha, const float* a, std::int64_t lda,
+                      const float* panel, float beta, float* c,
+                      std::int64_t ldc) {
+  using Fn = void (*)(std::int64_t, std::int64_t, float, const float*,
+                      std::int64_t, const float*, float, float*,
+                      std::int64_t);
+  static constexpr Fn kByRows[kTileMr] = {
+      &gemm_tile_rows<1>, &gemm_tile_rows<2>, &gemm_tile_rows<3>,
+      &gemm_tile_rows<4>, &gemm_tile_rows<5>, &gemm_tile_rows<6>,
+      &gemm_tile_rows<7>, &gemm_tile_rows<8>};
+  kByRows[rows - 1](cols, kc, alpha, a, lda, panel, beta, c, ldc);
+}
+
 }  // namespace
 
 namespace detail {
@@ -231,6 +293,7 @@ namespace detail {
 Kernels avx512_kernels() {
   Kernels t;
   t.qgemm = &qgemm_avx512;
+  t.gemm_tile = {kTileMr, kTileNr, &gemm_tile_avx512};
   return t;
 }
 

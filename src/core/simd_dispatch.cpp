@@ -83,22 +83,48 @@ void quantize_scaled_scalar(const float* x, std::int64_t n, float inv_scale,
   }
 }
 
-void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                    std::int64_t j1, std::int64_t k, const util::half* a,
-                    std::int64_t lda, const util::half* b, std::int64_t ldb,
-                    float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const util::half* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = static_cast<float>(ai[kk]);
-      if (av == 0.f) continue;
-      const util::half* bk = b + kk * ldb;
-      for (std::int64_t j = j0; j < j1; ++j) {
-        ci[j] += av * static_cast<float>(bk[j]);
-      }
+/// Scalar register tile: 4 x 8 accumulators, which baseline SSE2 code
+/// generation keeps in 8 of its 16 xmm registers.  R is a template
+/// parameter so the accumulators are fully unrolled for every edge height.
+constexpr std::int64_t kScalarMr = 4;
+constexpr std::int64_t kScalarNr = 8;
+
+template <int R>
+void gemm_tile_rows(std::int64_t cols, std::int64_t kc, float alpha,
+                    const float* a, std::int64_t lda, const float* panel,
+                    float beta, float* c, std::int64_t ldc) {
+  float acc[R][kScalarNr] = {};
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float* pk = panel + kk * kScalarNr;
+    for (int i = 0; i < R; ++i) {
+      const float av = a[i * lda + kk];
+      // Vectorize across the row, not down k (which would need a transpose).
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+      for (std::int64_t j = 0; j < kScalarNr; ++j) acc[i][j] += av * pk[j];
     }
   }
+  for (int i = 0; i < R; ++i) {
+    float* ci = c + i * ldc;
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const float x = alpha * acc[i][j];
+      ci[j] = beta == 0.f ? x : beta * ci[j] + x;
+    }
+  }
+}
+
+void gemm_tile_scalar(std::int64_t rows, std::int64_t cols, std::int64_t kc,
+                      float alpha, const float* a, std::int64_t lda,
+                      const float* panel, float beta, float* c,
+                      std::int64_t ldc) {
+  using Fn = void (*)(std::int64_t, std::int64_t, float, const float*,
+                      std::int64_t, const float*, float, float*,
+                      std::int64_t);
+  static constexpr Fn kByRows[kScalarMr] = {
+      &gemm_tile_rows<1>, &gemm_tile_rows<2>, &gemm_tile_rows<3>,
+      &gemm_tile_rows<4>};
+  kByRows[rows - 1](cols, kc, alpha, a, lda, panel, beta, c, ldc);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,7 +152,7 @@ Kernels merge(Kernels base, const Kernels& over) {
   if (over.qgemm) base.qgemm = over.qgemm;
   if (over.max_abs) base.max_abs = over.max_abs;
   if (over.quantize_scaled) base.quantize_scaled = over.quantize_scaled;
-  if (over.tile_hh) base.tile_hh = over.tile_hh;
+  if (over.gemm_tile.run) base.gemm_tile = over.gemm_tile;
   return base;
 }
 
@@ -139,7 +165,7 @@ Kernels scalar_kernels() {
   t.qgemm = &qgemm_scalar;
   t.max_abs = &max_abs_scalar;
   t.quantize_scaled = &quantize_scaled_scalar;
-  t.tile_hh = &tile_hh_scalar;
+  t.gemm_tile = {kScalarMr, kScalarNr, &gemm_tile_scalar};
   return t;
 }
 

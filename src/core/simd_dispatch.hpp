@@ -1,12 +1,14 @@
 /// \file simd_dispatch.hpp
-/// \brief Runtime-dispatched SIMD kernel layer for the encode hot loops.
+/// \brief Runtime-dispatched SIMD kernel layer for the GEMM and quantize
+///        hot loops.
 ///
 /// The build passes no `-march` flags, so a compile-time `#ifdef __AVX2__`
 /// gate means "dead code in every default build" (that was the fate of the
 /// original F16C half-GEMM path).  This layer fixes the pattern structurally:
 ///
-///   * the hot kernels (int8 GEMM, fp16 GEMM tile, activation quantization)
-///     live behind per-kernel function pointers in a `Kernels` table;
+///   * the hot kernels (the fp32 GEMM micro-kernel behind `sgemm`/`hgemm`,
+///     the int8 GEMM, activation quantization) live behind per-kernel
+///     function pointers in a `Kernels` table;
 ///   * per-ISA implementations are compiled in dedicated translation units
 ///     with per-file target flags (`simd_avx2.cpp` with `-mavx2 -mfma
 ///     -mf16c`, `simd_avx512.cpp` with `-mavx512f -mavx512bw -mavx512vnni`)
@@ -18,7 +20,7 @@
 ///
 /// Numerics contract: every dispatched kernel must agree with the scalar
 /// reference — bit-for-bit for the integer kernels (`qgemm`, `max_abs`,
-/// `quantize_scaled`), ULP-bounded for `tile_hh` where FMA contraction
+/// `quantize_scaled`), ULP-bounded for `gemm_tile` where FMA contraction
 /// legitimately reassociates.  tests/test_simd_kernels.cpp enforces this for
 /// every ISA the host supports.
 ///
@@ -29,20 +31,38 @@
 
 #include <cstdint>
 
-#include "util/half.hpp"
-
 namespace nc::core::simd {
 
 /// Instruction-set tiers, ordered: a higher tier inherits every kernel the
 /// lower tiers provide and overrides the ones it accelerates further.
 enum class Isa : int {
   kScalar = 0,  ///< portable C++ (always available, the reference semantics)
-  kAvx2 = 1,    ///< AVX2 + FMA + F16C (256-bit int8 dot, fp16 widening)
-  kAvx512 = 2,  ///< AVX-512 F/BW + VNNI (512-bit `vpdpbusd` int8 dot)
+  kAvx2 = 1,    ///< AVX2 + FMA + F16C (256-bit FMA tile, int8 dot)
+  kAvx512 = 2,  ///< AVX-512 F/BW + VNNI (512-bit FMA tile, `vpdpbusd`)
 };
 
 /// Lower-case tier name ("scalar", "avx2", "avx512") for logs and JSON.
 const char* isa_name(Isa isa);
+
+/// fp32 GEMM micro-kernel: one register tile of
+///
+///     C[i, j] = beta * C[i, j] + alpha * sum_{kk < kc} A[i, kk] * P[kk, j]
+///
+/// for i < rows <= mr and j < cols <= nr.  A is row-major with leading
+/// dimension `lda`.  P is a packed panel of op(B): kc rows of exactly `nr`
+/// floats each, 64-byte aligned, zero-padded past `cols`.  beta == 0
+/// overwrites C without reading it.  Each tier picks the (mr, nr) that fills
+/// its register file; the caller (core/gemm.cpp) packs P to the active
+/// tier's `nr`.  Per element the sum runs in kk order with one accumulator,
+/// so a tile's result does not depend on where it sits in the matrix.
+struct GemmTile {
+  std::int64_t mr = 0;  ///< rows of the register tile
+  std::int64_t nr = 0;  ///< columns of the register tile = panel row width
+  void (*run)(std::int64_t rows, std::int64_t cols, std::int64_t kc,
+              float alpha, const float* a, std::int64_t lda,
+              const float* panel, float beta, float* c,
+              std::int64_t ldc) = nullptr;
+};
 
 /// The dispatched kernel table.  All pointers are non-null in any table
 /// returned by `kernels()`/`kernels_for()`.
@@ -67,14 +87,10 @@ struct Kernels {
   void (*quantize_scaled)(const float* x, std::int64_t n, float inv_scale,
                           std::int8_t* out) = nullptr;
 
-  /// Half-storage GEMM microkernel on one tile:
-  /// C[i0:i1, j0:j1] += float(A[i, kk]) * float(B[kk, j0:j1]) over kk < k.
-  /// The AVX2 implementation widens B eight lanes at a time (VCVTPH2PS +
-  /// FMA); FMA contraction makes this ULP-close (not bit-equal) to scalar.
-  void (*tile_hh)(std::int64_t i0, std::int64_t i1, std::int64_t j0,
-                  std::int64_t j1, std::int64_t k, const util::half* a,
-                  std::int64_t lda, const util::half* b, std::int64_t ldb,
-                  float* c, std::int64_t ldc) = nullptr;
+  /// The fp32 GEMM micro-kernel behind both `sgemm` and `hgemm` (hgemm
+  /// widens its binary16 operands while packing).  FMA contraction makes the
+  /// vector tiers ULP-close (not bit-equal) to scalar.
+  GemmTile gemm_tile;
 };
 
 /// True iff `isa` is usable here: compiled into this binary AND reported by

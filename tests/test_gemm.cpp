@@ -24,8 +24,8 @@ struct GemmCase {
 
 class GemmParam : public ::testing::TestWithParam<GemmCase> {};
 
-TEST_P(GemmParam, MatchesNaive) {
-  const auto& p = GetParam();
+/// sgemm against the double-accumulating reference on random operands.
+void expect_matches_naive(const GemmCase& p) {
   // Stored matrix extents depend on the transpose flags.
   const auto a = random_tensor({p.trans_a ? p.k : p.m, p.trans_a ? p.m : p.k}, 1);
   const auto b = random_tensor({p.trans_b ? p.n : p.k, p.trans_b ? p.k : p.n}, 2);
@@ -40,8 +40,10 @@ TEST_P(GemmParam, MatchesNaive) {
 
   EXPECT_LT(nc::testref::max_abs_diff(c_ref, c_opt), 1e-3)
       << "m=" << p.m << " n=" << p.n << " k=" << p.k << " tA=" << p.trans_a
-      << " tB=" << p.trans_b;
+      << " tB=" << p.trans_b << " alpha=" << p.alpha << " beta=" << p.beta;
 }
+
+TEST_P(GemmParam, MatchesNaive) { expect_matches_naive(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(
     ShapeSweep, GemmParam,
@@ -63,6 +65,57 @@ INSTANTIATE_TEST_SUITE_P(
         // Exactly one tile, and one-past-a-tile.
         GemmCase{16, 128, 32, false, false, 1.f, 0.f},
         GemmCase{17, 129, 32, false, false, 1.f, 0.f}));
+
+// The packed kernel at the decoder's shapes and across its block edges:
+// the full-resolution 3x3 conv (NN), its backward-weight (NT) and
+// backward-data (TN) GEMMs, depths past one kGemmKC panel, and alpha != 1
+// against each beta.  A plain loop rather than more GemmParam values: ctest
+// names parameterized cases by the struct's bytes, padding included.
+TEST(Gemm, PackedKernelMatchesNaiveAtDecoderShapesAndBlockEdges) {
+  const GemmCase cases[] = {
+      {32, 3072, 288, false, false, 1.f, 0.f},
+      {32, 288, 3072, false, true, 1.f, 1.f},
+      {288, 3072, 32, true, false, 1.f, 0.f},
+      {9, 70, 2 * nc::core::kGemmKC + 3, false, false, 1.f, 0.f},
+      {9, 70, nc::core::kGemmKC + 1, false, true, 1.f, 1.f},
+      {13, 45, 37, false, false, 0.7f, 0.f},
+      {13, 45, 37, false, false, 0.7f, 0.5f},
+      {13, 45, 37, false, false, 0.7f, 1.f},
+  };
+  for (const GemmCase& p : cases) expect_matches_naive(p);
+}
+
+/// float(half(x)): the value an fp16 operand carries.
+nc::core::Tensor fp16_exact(nc::core::Tensor t) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(nc::util::half(t[i]));
+  }
+  return t;
+}
+
+TEST(Gemm, HalfGemmEqualsFloatGemmOnFp16ExactInputs) {
+  // Widening binary16 is exact and both routines run the same packed
+  // kernel, so on fp16-representable inputs hgemm must equal sgemm bit for
+  // bit — at a decoder shape and one crossing a k-block.
+  const GemmCase shapes[] = {{32, 3072, 288, false, false, 1.f, 0.f},
+                             {13, 45, nc::core::kGemmKC + 9, false, false, 1.f,
+                              0.f}};
+  for (const GemmCase& s : shapes) {
+    const std::int64_t m = s.m, n = s.n, k = s.k;
+    const auto a = fp16_exact(random_tensor({m, k}, 50));
+    const auto b = fp16_exact(random_tensor({k, n}, 51));
+    std::vector<nc::util::half> ah(static_cast<std::size_t>(m * k));
+    std::vector<nc::util::half> bh(static_cast<std::size_t>(k * n));
+    nc::util::float_to_half_n(a.data(), ah.data(), m * k);
+    nc::util::float_to_half_n(b.data(), bh.data(), k * n);
+    nc::core::Tensor c_float({m, n}), c_half({m, n});
+    sgemm(false, false, m, n, k, 1.f, a.data(), k, b.data(), n, 0.f,
+          c_float.data(), n);
+    hgemm(m, n, k, ah.data(), k, bh.data(), n, c_half.data(), n);
+    EXPECT_EQ(nc::testref::max_abs_diff(c_float, c_half), 0.0)
+        << "m=" << m << " n=" << n << " k=" << k;
+  }
+}
 
 TEST(Gemm, AlphaZeroOnlyAppliesBeta) {
   auto c = random_tensor({4, 4}, 9);

@@ -1,19 +1,22 @@
 /// Per-ISA equivalence suite for the runtime SIMD kernel layer
 /// (core/simd_dispatch.hpp).  The contract under test: the integer kernels
 /// (`qgemm`, `max_abs`, `quantize_scaled`) are bit-exact across every ISA
-/// tier the host supports, `tile_hh` is ULP-bounded (FMA contraction), and
-/// the dispatcher resolves NC_SIMD-style requests correctly.  Shapes are
-/// deliberately awkward — k not a multiple of the packing quad, n straddling
-/// the 16-column tile, degenerate m/n/k — so tail paths get the same
-/// scrutiny as the vector body.
+/// tier the host supports, the fp32 `gemm_tile` is ULP-bounded (FMA
+/// contraction) on fp32 and on widened binary16 operands, and the
+/// dispatcher resolves NC_SIMD-style requests correctly.  Shapes are deliberately awkward — k not a multiple of the
+/// packing quad, n straddling the column tile, m straddling the row tile,
+/// degenerate m/n/k — so tail paths get the same scrutiny as the vector
+/// body.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/conv.hpp"
+#include "core/gemm.hpp"
 #include "core/quantize.hpp"
 #include "core/simd_dispatch.hpp"
 #include "tests/reference.hpp"
@@ -201,6 +204,9 @@ TEST(SimdDispatch, QuantizeTensorRoundsToNearestEven) {
   EXPECT_EQ(q[1], 127);
 }
 
+// hgemm's half x half -> fp32 tile: binary16 operands, widened exactly,
+// through every tier's gemm_tile, stay ULP-bounded against the scalar tier;
+// the dispatched hgemm equals its own tier on the widened operands.
 TEST(SimdDispatch, TileHhUlpBounded) {
   nc::util::Rng rng(404);
   const std::int64_t m = 9, n = 37, k = 41;
@@ -208,20 +214,126 @@ TEST(SimdDispatch, TileHhUlpBounded) {
   std::vector<nc::util::half> b(static_cast<std::size_t>(k * n));
   for (auto& h : a) h = nc::util::half(static_cast<float>(rng.normal()));
   for (auto& h : b) h = nc::util::half(static_cast<float>(rng.normal()));
+  std::vector<float> a32(a.size()), b32(b.size());
+  nc::util::half_to_float_n(a.data(), a32.data(), m * k);
+  nc::util::half_to_float_n(b.data(), b32.data(), k * n);
 
   std::vector<float> c_ref(static_cast<std::size_t>(m * n), 0.f);
-  nc::core::simd::kernels_for(Isa::kScalar)
-      .tile_hh(0, m, 0, n, k, a.data(), k, b.data(), n, c_ref.data(), n);
+  nc::core::sgemm_with(nc::core::simd::kernels_for(Isa::kScalar).gemm_tile,
+                       false, false, m, n, k, 1.f, a32.data(), k, b32.data(),
+                       n, 0.f, c_ref.data(), n);
   for (Isa isa : supported_isas()) {
     std::vector<float> c(static_cast<std::size_t>(m * n), 0.f);
-    nc::core::simd::kernels_for(isa).tile_hh(0, m, 0, n, k, a.data(), k,
-                                             b.data(), n, c.data(), n);
+    nc::core::sgemm_with(nc::core::simd::kernels_for(isa).gemm_tile, false,
+                         false, m, n, k, 1.f, a32.data(), k, b32.data(), n,
+                         0.f, c.data(), n);
     for (std::size_t i = 0; i < c.size(); ++i) {
       // FMA contraction reassociates; bound the drift tightly relative to
       // the accumulated magnitude.
       const float tol = 1e-5f * (1.f + std::abs(c_ref[i])) * std::sqrt(float(k));
       EXPECT_NEAR(c[i], c_ref[i], tol)
           << "isa=" << nc::core::simd::isa_name(isa) << " idx=" << i;
+    }
+  }
+
+  std::vector<float> c_active(static_cast<std::size_t>(m * n), 0.f);
+  nc::core::sgemm_with(nc::core::simd::kernels().gemm_tile, false, false, m,
+                       n, k, 1.f, a32.data(), k, b32.data(), n, 0.f,
+                       c_active.data(), n);
+  std::vector<float> c_half(static_cast<std::size_t>(m * n), -1.f);
+  nc::core::hgemm(m, n, k, a.data(), k, b.data(), n, c_half.data(), n);
+  for (std::size_t i = 0; i < c_half.size(); ++i) {
+    EXPECT_EQ(c_half[i], c_active[i]) << "idx=" << i;
+  }
+}
+
+struct TileCase {
+  std::int64_t m, n, k;
+  bool trans_a, trans_b;
+  float alpha, beta;
+};
+
+// Awkward on purpose for every tier's (mr, nr): m = 13 and 29 leave a
+// partial row tile at mr = 8, 6 and 4; n = 45 and 50 a partial column panel
+// at nr = 32, 16 and 8; k = 1 is a one-step panel and k > kGemmKC crosses a
+// k-block.  Leading dimensions are padded wider than the matrices.
+const TileCase kTileCases[] = {
+    {13, 45, 37, false, false, 1.f, 0.f},
+    {13, 45, 1, false, false, 1.f, 0.f},
+    {29, 50, nc::core::kGemmKC + 77, false, false, 0.75f, 1.f},
+    {7, 33, 19, false, false, -1.25f, 0.5f},
+    {13, 45, nc::core::kGemmKC + 5, false, true, 1.f, 1.f},
+    {29, 50, 11, true, false, 1.f, 0.f},
+    {1, 1, 1, false, false, 1.f, 0.f},
+};
+
+/// The micro-kernel of every tier, driven through the packed sgemm over the
+/// shapes above, stays within a ULP bound of the scalar tier.  The bound is
+/// in units of eps * S, where S = |alpha| * sum_kk |a_ik * b_kj| + |beta *
+/// c_ij| is the magnitude the rounding errors scale with; FMA contraction
+/// changes one rounding per step, so the drift grows like sqrt(k).  The
+/// vector tiers measured at most 1.4 units on these shapes; a dropped k
+/// step or a lost mantissa byte costs thousands.
+TEST(SimdDispatch, GemmTileUlpBoundedAcrossIsas) {
+  nc::util::Rng rng(404);
+  const nc::core::simd::GemmTile& ref_tile =
+      nc::core::simd::kernels_for(Isa::kScalar).gemm_tile;
+  for (const TileCase& t : kTileCases) {
+    const std::int64_t a_rows = t.trans_a ? t.k : t.m;
+    const std::int64_t a_cols = t.trans_a ? t.m : t.k;
+    const std::int64_t b_rows = t.trans_b ? t.n : t.k;
+    const std::int64_t b_cols = t.trans_b ? t.k : t.n;
+    const std::int64_t lda = a_cols + 3, ldb = b_cols + 5, ldc = t.n + 7;
+    std::vector<float> a(static_cast<std::size_t>(a_rows * lda));
+    std::vector<float> b(static_cast<std::size_t>(b_rows * ldb));
+    std::vector<float> c0(static_cast<std::size_t>(t.m * ldc));
+    for (auto& v : a) v = static_cast<float>(rng.normal());
+    for (auto& v : b) v = static_cast<float>(rng.normal());
+    for (auto& v : c0) v = static_cast<float>(rng.normal());
+
+    const auto op_a = [&](std::int64_t i, std::int64_t kk) {
+      return a[static_cast<std::size_t>(t.trans_a ? kk * lda + i
+                                                  : i * lda + kk)];
+    };
+    const auto op_b = [&](std::int64_t kk, std::int64_t j) {
+      return b[static_cast<std::size_t>(t.trans_b ? j * ldb + kk
+                                                  : kk * ldb + j)];
+    };
+
+    std::vector<float> c_ref = c0;
+    nc::core::sgemm_with(ref_tile, t.trans_a, t.trans_b, t.m, t.n, t.k,
+                         t.alpha, a.data(), lda, b.data(), ldb, t.beta,
+                         c_ref.data(), ldc);
+    for (Isa isa : supported_isas()) {
+      std::vector<float> c = c0;
+      nc::core::sgemm_with(nc::core::simd::kernels_for(isa).gemm_tile,
+                           t.trans_a, t.trans_b, t.m, t.n, t.k, t.alpha,
+                           a.data(), lda, b.data(), ldb, t.beta, c.data(),
+                           ldc);
+      for (std::int64_t i = 0; i < t.m; ++i) {
+        for (std::int64_t j = 0; j < ldc; ++j) {
+          const std::size_t at = static_cast<std::size_t>(i * ldc + j);
+          if (j >= t.n) {  // padding past n is never written
+            EXPECT_EQ(c[at], c0[at]);
+            continue;
+          }
+          double mag = std::abs(static_cast<double>(t.beta * c0[at]));
+          for (std::int64_t kk = 0; kk < t.k; ++kk) {
+            mag += std::abs(static_cast<double>(t.alpha) *
+                            static_cast<double>(op_a(i, kk)) *
+                            static_cast<double>(op_b(kk, j)));
+          }
+          const double diff = static_cast<double>(c[at] - c_ref[at]);
+          const double ulps =
+              std::abs(diff) /
+              (static_cast<double>(std::numeric_limits<float>::epsilon()) *
+               mag);
+          EXPECT_LE(ulps, std::sqrt(static_cast<double>(t.k)) + 2.0)
+              << "isa=" << nc::core::simd::isa_name(isa) << " m=" << t.m
+              << " n=" << t.n << " k=" << t.k << " at (" << i << ", " << j
+              << ")";
+        }
+      }
     }
   }
 }
@@ -288,6 +400,38 @@ TEST(SimdDispatch, ConcurrentInt8ForwardIsRaceFree) {
     EXPECT_EQ(nc::testref::max_abs_diff(outs[static_cast<std::size_t>(t)],
                                         outs[0]),
               0.0);
+  }
+}
+
+// Labeled tsan via NC_TSAN_SUITES: concurrent fp32 and fp16 eval forwards
+// share the dispatch table, race on the lazily built fp16 weight cache, and
+// each pack B panels into their own thread-local GEMM scratch.  Every
+// output must equal the serial forward of its mode bit for bit.
+TEST(SimdDispatch, ConcurrentFloatAndHalfForwardIsRaceFree) {
+  nc::util::Rng rng(707);
+  nc::core::Conv2d conv(3, 6, {3, 3}, {1, 1}, {1, 1}, true, rng);
+  const Tensor x = nc::testref::random_tensor({2, 3, 12, 40}, 32);
+
+  constexpr int kThreads = 4;
+  const auto mode_of = [](int t) {
+    return t % 2 == 0 ? nc::core::Mode::kEval : nc::core::Mode::kEvalHalf;
+  };
+  std::vector<Tensor> outs(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      outs[static_cast<std::size_t>(t)] = conv.forward(x, mode_of(t));
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const Tensor serial = conv.forward(x, mode_of(t));
+    ASSERT_EQ(outs[static_cast<std::size_t>(t)].shape(), serial.shape());
+    EXPECT_EQ(nc::testref::max_abs_diff(outs[static_cast<std::size_t>(t)],
+                                        serial),
+              0.0)
+        << "thread " << t;
   }
 }
 
